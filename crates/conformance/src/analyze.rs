@@ -718,8 +718,8 @@ mod tests {
         };
         assert_eq!(axis_of("gpu/bl"), 1);
         assert_eq!(axis_of("multi-gpu/k2"), 1);
-        assert_eq!(axis_of("gpu/full"), 3);
-        assert_eq!(axis_of("service/pooled"), 3);
+        assert_eq!(axis_of("gpu/full"), FrontierKind::ALL.len());
+        assert_eq!(axis_of("service/pooled"), FrontierKind::ALL.len());
     }
 
     /// Baseline round-trip and regression detection.

@@ -23,8 +23,8 @@
 //!   heavy edges can be changed immediately").
 //!
 //! The worklists themselves live behind the pluggable [`Frontier`]
-//! seam ([`super::frontier`]): the classic single queue set, a bucket
-//! wheel, or the multi-level multi-queue whose full sub-queues *spill*
+//! seam ([`super::frontier`]): the classic single queue set, or the
+//! multi-level multi-queue whose full sub-queues *spill*
 //! into a deferred level instead of overflowing. A spilling frontier
 //! changes two driver invariants: the phase-1/phase-2 staleness check
 //! only rejects `dist >= hi` (a deferred activation arrives with a
@@ -1200,8 +1200,8 @@ mod tests {
             "BASYN+PRO+ADWL+MLMQ"
         );
         assert_eq!(
-            RdbsConfig::sync_delta().with_frontier(FrontierKind::Wheel).label(),
-            "SYNC-Δ+WHEEL"
+            RdbsConfig::sync_delta().with_frontier(FrontierKind::Mlmq).label(),
+            "SYNC-Δ+MLMQ"
         );
     }
 }

@@ -49,14 +49,13 @@ pub mod traffic;
 use crate::adaptive_delta::DeltaController;
 use crate::gpu::bl::{bl_on, BlScratch};
 use crate::gpu::buffers::{DeviceQueue, GraphArrays, GraphBuffers, QueueOverflow};
-use crate::gpu::frontier::{
-    AnyFrontier, FrontierKind, MlmqFrontier, ScatterMode, WheelFrontier, WorkloadQueues,
-};
+use crate::gpu::frontier::{AnyFrontier, FrontierKind, MlmqFrontier, ScatterMode, WorkloadQueues};
 use crate::gpu::multi::{MultiGpuConfig, MultiGpuState};
 use crate::gpu::rdbs::{self, rdbs_on, RdbsDriver, RdbsScratch};
 use crate::gpu::{RdbsConfig, Variant};
 use crate::seq::dijkstra;
 use crate::stats::{BatchStats, SsspResult};
+use crate::workload::WorkloadClass;
 use crate::{default_delta, Csr, VertexId, Weight, INF};
 use pool::BufferPool;
 use rdbs_gpu_sim::{
@@ -198,8 +197,8 @@ impl From<QueueOverflow> for ServiceError {
 }
 
 /// Per-query device scratch, shaped by the variant.
-// The RDBS variant is a few hundred bytes of queue handles (the wheel
-// frontier holds four slot sets); it lives in a per-lane slot, not a
+// The RDBS variant is a few hundred bytes of queue handles (the MLMQ
+// frontier holds eight sub-queues); it lives in a per-lane slot, not a
 // hot collection, so the size skew is harmless.
 #[allow(clippy::large_enum_variant)]
 enum Scratch {
@@ -1022,22 +1021,15 @@ fn escalate_queues(
     let Scratch::Rdbs(s) = scratch else {
         return false; // the BL scratch has no queues to escalate
     };
-    // Which workload-queue sets grow: the single layout's one set, or
-    // every wheel slot (uniformly — the set must stay in one size
-    // class). The MLMQ never escalates: a full sub-queue spills to the
-    // deferred level by design, so a raised overflow there is genuine
-    // loss the host oracle answers.
-    let sets: Vec<&mut WorkloadQueues> = match &mut s.frontier {
-        AnyFrontier::Single(wq) => vec![wq],
-        AnyFrontier::Wheel(w) => w.slots.iter_mut().collect(),
-        AnyFrontier::Mlmq(_) => return false,
+    // Only the single layout's workload set grows. The MLMQ never
+    // escalates: a full sub-queue spills to the deferred level by
+    // design, so a raised overflow there is genuine loss the host
+    // oracle answers.
+    let AnyFrontier::Single(wq) = &mut s.frontier else {
+        return false;
     };
-    let old_cap = sets
-        .iter()
-        .flat_map(|wq| wq.queues())
-        .map(|q| q.capacity as usize)
-        .max()
-        .expect("a workload set holds four queues");
+    let old_cap =
+        wq.queues().map(|q| q.capacity as usize).max().expect("a workload set holds four queues");
     let class = pool::size_class(old_cap);
     let new_cap = if old_cap < class { class } else { 2 * class };
     if new_cap > 2 * pool::size_class(n) {
@@ -1046,19 +1038,12 @@ fn escalate_queues(
     // pooled_queue resets the recycled cursor cells, clearing the
     // sticky overflow flag before the replay.
     let cap = new_cap as u32;
-    for wq in sets {
-        for q in wq.queues() {
-            pool.release(device, q.data);
-            pool.release(device, q.tail);
-            pool.release(device, q.overflow);
-        }
-        wq.q = [
-            pooled_queue(pool, device, "workload_small", cap),
-            pooled_queue(pool, device, "workload_medium", cap),
-            pooled_queue(pool, device, "workload_large", cap),
-        ];
-        wq.members = pooled_queue(pool, device, "bucket_members", cap);
+    for q in wq.queues() {
+        pool.release(device, q.data);
+        pool.release(device, q.tail);
+        pool.release(device, q.overflow);
     }
+    (wq.q, wq.members) = pooled_workload_queues(pool, device, cap);
     true
 }
 
@@ -1132,23 +1117,19 @@ fn build_scratch(
         }
         Variant::Rdbs(cfg) => {
             let cap = queue_capacity.unwrap_or(n);
-            // One vertex-indexed pending buffer per lane, shared by
-            // every slot/level of the frontier.
+            // One vertex-indexed pending buffer per lane, acquired
+            // before the queues.
             let pending = pool.acquire(device, "pending", n as usize);
             let frontier = match cfg.frontier {
-                FrontierKind::Single => AnyFrontier::Single(pooled_workload(
-                    pool,
-                    device,
-                    cap,
-                    pending,
-                    cfg.adwl,
-                    cfg.scatter,
-                )),
-                FrontierKind::Wheel => {
-                    let slots = std::array::from_fn(|_| {
-                        pooled_workload(pool, device, cap, pending, cfg.adwl, cfg.scatter)
-                    });
-                    AnyFrontier::Wheel(WheelFrontier { slots, pending, active: 0 })
+                FrontierKind::Single => {
+                    let (q, members) = pooled_workload_queues(pool, device, cap);
+                    AnyFrontier::Single(WorkloadQueues {
+                        q,
+                        members,
+                        pending,
+                        adwl: cfg.adwl,
+                        scatter: cfg.scatter,
+                    })
                 }
                 FrontierKind::Mlmq => {
                     let sub = MlmqFrontier::sub_capacity(cap);
@@ -1174,23 +1155,19 @@ fn build_scratch(
     }
 }
 
-/// One pooled workload-queue set around a caller-owned pending buffer
-/// (wheel slots share one).
-fn pooled_workload(
+/// The queues of one pooled workload set: the three ADWL class queues,
+/// then the bucket-membership queue.
+fn pooled_workload_queues(
     pool: &mut BufferPool,
     device: &mut Device,
     cap: u32,
-    pending: Buf,
-    adwl: bool,
-    scatter: ScatterMode,
-) -> WorkloadQueues {
+) -> ([DeviceQueue; WorkloadClass::COUNT], DeviceQueue) {
     let q = [
         pooled_queue(pool, device, "workload_small", cap),
         pooled_queue(pool, device, "workload_medium", cap),
         pooled_queue(pool, device, "workload_large", cap),
     ];
-    let members = pooled_queue(pool, device, "bucket_members", cap);
-    WorkloadQueues { q, members, pending, adwl, scatter }
+    (q, pooled_queue(pool, device, "bucket_members", cap))
 }
 
 /// Assemble a queue from pooled parts. The logical capacity stays the

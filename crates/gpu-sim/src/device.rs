@@ -1,5 +1,6 @@
 //! Device configuration and the top-level [`Device`] object.
 
+use crate::access::AccessStream;
 use crate::buffer::{Arena, Buf, HostStaging};
 use crate::cache::CacheHierarchy;
 use crate::counters::{Counters, KernelReport};
@@ -188,12 +189,10 @@ pub struct Device {
     /// every hook a single branch and the device bit-identical to a
     /// fault-free build.
     pub(crate) fault: Option<FaultPlan>,
-    /// Armed memory-model sanitizer, if any. Like `fault`, `None` (the
+    /// The access-event stream feeding the armed sanitizer and/or IR
+    /// recorder, if either is armed. Like `fault`, `None` (the
     /// default) keeps every hook a single branch.
-    pub(crate) san: Option<Box<SanState>>,
-    /// Armed access-IR recorder, if any (the static verifier's input).
-    /// Like `san`, `None` keeps every hook a single branch.
-    pub(crate) ir: Option<Box<IrState>>,
+    pub(crate) access: Option<Box<AccessStream>>,
     /// Device queues declared so far, keyed by tail-cursor address.
     /// Always recorded (declaration is cheap and queues are created
     /// before arming); seeded into the IR recorder at arm time.
@@ -222,8 +221,7 @@ impl Device {
             pending_scatter: Vec::new(),
             buffer_traffic: Vec::new(),
             fault: None,
-            san: None,
-            ir: None,
+            access: None,
             queue_decls: HashMap::new(),
             sched: None,
             current_stream: 0,
@@ -247,42 +245,57 @@ impl Device {
         self.elapsed_ns
     }
 
+    /// Drop the stream once neither consumer is left on it, so the
+    /// next arming starts a fresh one (wave counter at 0). A consumer
+    /// armed while the other is armed joins the running stream.
+    fn drop_idle_stream(&mut self) {
+        if self.access.as_ref().is_some_and(|s| s.san.is_none() && s.ir.is_none()) {
+            self.access = None;
+        }
+    }
+
     /// Arm the memory-model sanitizer. Subsequent kernels run under
     /// it; buffers allocated (or recycled from the pool) from now on
     /// carry uninitialized-read poison. Violations accumulate until
     /// [`Device::disarm_sanitizer`].
     pub fn arm_sanitizer(&mut self, config: SanConfig) {
         self.arena.set_poison_mode(config.uninit);
-        self.san = Some(Box::new(SanState::new(config)));
+        self.access.get_or_insert_with(Box::default).san = Some(SanState::new(config));
+    }
+
+    fn san(&self) -> Option<&SanState> {
+        self.access.as_ref().and_then(|s| s.san.as_ref())
     }
 
     /// Whether the sanitizer is currently armed.
     pub fn sanitizer_armed(&self) -> bool {
-        self.san.is_some()
+        self.san().is_some()
     }
 
     /// Remove the armed sanitizer (if any), returning it with its
     /// violation log. Poison tracking stops.
-    pub fn disarm_sanitizer(&mut self) -> Option<Box<SanState>> {
+    pub fn disarm_sanitizer(&mut self) -> Option<SanState> {
         self.arena.set_poison_mode(false);
-        self.san.take()
+        let san = self.access.as_mut().and_then(|s| s.san.take());
+        self.drop_idle_stream();
+        san
     }
 
     /// Violations recorded so far (empty when nothing is armed).
     pub fn san_violations(&self) -> &[SanViolation] {
-        self.san.as_ref().map_or(&[], |s| s.violations())
+        self.san().map_or(&[], SanState::violations)
     }
 
     /// Total violations so far, including any beyond the report cap.
     pub fn san_total(&self) -> u64 {
-        self.san.as_ref().map_or(0, |s| s.total())
+        self.san().map_or(0, SanState::total)
     }
 
     /// The access profile the armed sanitizer has accumulated so far
     /// (`None` when nothing is armed) — the adversarial placement
     /// search's evidence source.
     pub fn san_profile(&self) -> Option<&AccessProfile> {
-        self.san.as_deref().map(SanState::profile)
+        self.san().map(SanState::profile)
     }
 
     /// Arm the access-IR recorder: subsequent kernels contribute to a
@@ -291,24 +304,27 @@ impl Device {
     /// timing and counters are bit-identical to an unarmed run. Queues
     /// declared before arming are carried over.
     pub fn arm_ir(&mut self) {
-        let mut ir = Box::new(IrState::new());
+        let mut ir = IrState::default();
         let mut decls: Vec<&QueueDecl> = self.queue_decls.values().collect();
         decls.sort_by_key(|d| d.tail_addr);
         for d in decls {
             ir.declare_queue(*d);
         }
-        self.ir = Some(ir);
+        self.access.get_or_insert_with(Box::default).ir = Some(ir);
     }
 
     /// Whether the IR recorder is currently armed.
     pub fn ir_armed(&self) -> bool {
-        self.ir.is_some()
+        self.access.as_ref().is_some_and(|s| s.ir.is_some())
     }
 
     /// Remove the armed IR recorder (if any), closing its trailing
     /// race window and returning the retained IR.
     pub fn take_ir(&mut self) -> Option<AccessIr> {
-        self.ir.take().map(|ir| ir.finish())
+        let stream = self.access.as_mut()?;
+        let ir = stream.ir.take().map(|ir| ir.finish(stream.ctx.snapshot));
+        self.drop_idle_stream();
+        ir
     }
 
     /// Declare a device queue (tail cursor, overflow cell, capacity,
@@ -332,7 +348,7 @@ impl Device {
             spill,
         };
         self.queue_decls.insert(decl.tail_addr, decl);
-        if let Some(ir) = self.ir.as_deref_mut() {
+        if let Some(ir) = self.access.as_mut().and_then(|s| s.ir.as_mut()) {
             ir.declare_queue(decl);
         }
     }
@@ -473,8 +489,8 @@ impl Device {
     pub fn write_word(&mut self, buf: Buf, idx: usize, val: u32) {
         self.arena.slice_mut(buf)[idx] = val;
         self.arena.clear_poison_at(buf, idx as u32);
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_host_write(self.arena.addr(buf, idx as u32), val);
+        if let Some(stream) = self.access.as_deref_mut() {
+            stream.host_write(self.arena.addr(buf, idx as u32), val);
         }
     }
 
@@ -538,16 +554,13 @@ impl Device {
 
     /// Charge a grid-wide synchronization barrier (the sync-mode
     /// iteration barrier the paper's §4.3 eliminates in phase 1).
-    /// Also closes the sanitizer's race window: accesses before the
-    /// barrier are ordered before everything after it.
+    /// Also closes the access-event stream's race window: accesses
+    /// before the barrier are ordered before everything after it.
     pub fn charge_barrier(&mut self) {
         self.counters.barriers += 1;
         self.elapsed_ns += self.config.barrier_us * 1e3;
-        if let Some(san) = self.san.as_deref_mut() {
-            san.on_barrier();
-        }
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_barrier();
+        if let Some(stream) = self.access.as_deref_mut() {
+            stream.barrier();
         }
     }
 

@@ -17,51 +17,15 @@
 //! close. Full traces are never retained (the warp-local
 //! [`crate::trace::LaneTrace`] replay still discards them per warp).
 //!
-//! The IR is consumed by the `rdbs-statan` crate, which runs the
-//! hazard matrix over it and emits typed per-kernel certificates.
+//! The recorder is one of the two consumers of the access-event
+//! stream ([`crate::access`]), which owns the wave state and decides
+//! when a window closes. The IR is consumed by the `rdbs-statan`
+//! crate, which runs the hazard matrix over it and emits typed
+//! per-kernel certificates.
 
 use std::collections::{BTreeMap, HashMap};
 
-/// Identity of one access. `(wave, lane)` is the *thread key*: two
-/// accesses sharing it are program-ordered; any two accesses in the
-/// same window with different keys are concurrent under some schedule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct IrAccessor {
-    /// Wave counter at access time (monotonic across the device).
-    pub wave: u64,
-    /// Physical lane id ([`crate::Lane::phys_id`]).
-    pub lane: u64,
-    /// Gang/item id (`tid`; equals the lane for plain launches).
-    pub gang: u64,
-    /// Kernel name the access ran under.
-    pub kernel: &'static str,
-}
-
-impl IrAccessor {
-    /// Same simulated thread — program order applies.
-    #[inline]
-    pub fn same_thread(&self, other: &Self) -> bool {
-        self.wave == other.wave && self.lane == other.lane
-    }
-}
-
-/// The five access classes the hazard matrix distinguishes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum AccessClass {
-    /// Plain global load (snapshot semantics in synchronous kernels).
-    PlainLoad = 0,
-    /// Volatile/L2-coherent load (live memory, the sanctioned racy read).
-    VolatileLoad = 1,
-    /// Plain global store.
-    Store = 2,
-    /// Atomic read-modify-write.
-    Atomic = 3,
-    /// Plain store into a slot range reserved by a gang-collective
-    /// tail bump ([`crate::Lane::gang_push`]): atomic-strength publish
-    /// discipline at plain-store cost, sanctioned against atomics and
-    /// volatile readers.
-    ReservedStore = 4,
-}
+use crate::access::{AccessEvent, AccessKind, Accessor, WaveCtx};
 
 /// Bounded summary of one access class on one word within a window:
 /// a count plus the first two accessors from distinct threads. Two
@@ -72,14 +36,14 @@ pub struct ClassSummary {
     /// Accesses of this class on this word in the current window.
     pub count: u64,
     /// First accessor observed.
-    pub first: Option<IrAccessor>,
+    pub first: Option<Accessor>,
     /// First accessor observed on a *different thread* than `first`.
-    pub second: Option<IrAccessor>,
+    pub second: Option<Accessor>,
 }
 
 impl ClassSummary {
     #[inline]
-    fn note(&mut self, a: IrAccessor) {
+    fn note(&mut self, a: Accessor) {
         self.count += 1;
         match self.first {
             None => self.first = Some(a),
@@ -91,14 +55,14 @@ impl ClassSummary {
     /// A pair of distinct-thread accessors within this class, if two
     /// different threads used it.
     #[inline]
-    pub fn self_pair(&self) -> Option<(IrAccessor, IrAccessor)> {
+    pub fn self_pair(&self) -> Option<(Accessor, Accessor)> {
         Some((self.first?, self.second?))
     }
 
     /// A pair of distinct-thread accessors, one from `self`, one from
     /// `other` (cross-class hazard witness).
     #[inline]
-    pub fn cross_pair(&self, other: &ClassSummary) -> Option<(IrAccessor, IrAccessor)> {
+    pub fn cross_pair(&self, other: &ClassSummary) -> Option<(Accessor, Accessor)> {
         let (a, b) = (self.first?, other.first?);
         if !a.same_thread(&b) {
             return Some((a, b));
@@ -118,7 +82,8 @@ pub struct WordSummary {
     pub buffer: &'static str,
     /// Word index within the buffer.
     pub index: u32,
-    /// One summary per [`AccessClass`], indexed by discriminant.
+    /// One summary per word-touching [`AccessKind`], indexed by
+    /// discriminant.
     pub classes: [ClassSummary; 5],
 }
 
@@ -190,7 +155,7 @@ pub struct Hazard {
     /// Representative byte address.
     pub addr: u64,
     /// Representative accessor pair witnessing the hazard.
-    pub accessors: [IrAccessor; 2],
+    pub accessors: [Accessor; 2],
     /// Whether the window was a snapshot (synchronous kernel) window.
     pub snapshot_window: bool,
     /// Number of distinct words that exhibited this (kind, buffer,
@@ -317,7 +282,6 @@ pub struct AccessIr {
 struct LaneSig {
     gang: u64,
     sig: u64,
-    children: u64,
 }
 
 #[derive(Clone, Debug)]
@@ -331,22 +295,17 @@ struct QueueTrack {
     drops: u64,
 }
 
-/// Armed IR recorder, owned by the device (see [`crate::Device::arm_ir`]).
-/// Purely observational: arming must not perturb results, timing, or
-/// counters.
+/// Armed IR recorder: the access-event stream's retaining consumer
+/// (see [`crate::Device::arm_ir`]).
+#[derive(Default)]
 pub struct IrState {
     window: HashMap<u64, WordSummary>,
-    window_snapshot: bool,
-    wave: u64,
-    kernel: &'static str,
-    stream: u32,
     /// Dedup map: (kind, buffer, kernel-pair) → index into `hazards`.
     seen: HashMap<(HazardKind, &'static str, &'static str, &'static str), usize>,
     hazards: Vec<Hazard>,
     kernels: BTreeMap<&'static str, KernelStats>,
-    /// Current wave's per-lane op-kind signature (FNV) + child counts.
+    /// Current wave's per-lane op-kind signature (FNV).
     wave_lanes: BTreeMap<u64, LaneSig>,
-    wave_lane_count: u64,
     queues: Vec<QueueTrack>,
     tail_index: HashMap<u64, usize>,
     overflow_index: HashMap<u64, usize>,
@@ -363,30 +322,6 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 impl IrState {
-    /// Fresh recorder.
-    pub fn new() -> Self {
-        Self {
-            window: HashMap::new(),
-            window_snapshot: false,
-            wave: 0,
-            kernel: "",
-            stream: 0,
-            seen: HashMap::new(),
-            hazards: Vec::new(),
-            kernels: BTreeMap::new(),
-            wave_lanes: BTreeMap::new(),
-            wave_lane_count: 0,
-            queues: Vec::new(),
-            tail_index: HashMap::new(),
-            overflow_index: HashMap::new(),
-            traffic: BTreeMap::new(),
-            last_touch: HashMap::new(),
-            atomic_sites: BTreeMap::new(),
-            windows: 0,
-            peak_window_words: 0,
-        }
-    }
-
     /// Register a device queue so tail/overflow traffic is certified
     /// against its capacity class. Re-declaring the same tail address
     /// replaces the declaration (pooled queues get re-assembled).
@@ -411,76 +346,27 @@ impl IrState {
         self.overflow_index.insert(decl.overflow_addr, i);
     }
 
-    pub(crate) fn set_stream(&mut self, stream: u32) {
-        self.stream = stream;
-    }
-
-    pub(crate) fn begin_wave(&mut self, kernel: &'static str, snapshot: bool) {
-        if snapshot {
-            // A synchronous kernel launch orders memory on its stream:
-            // whatever live window was accumulating closes here, and
-            // the kernel becomes its own window.
-            self.close_window();
-        }
-        self.wave += 1;
-        self.kernel = kernel;
-        self.window_snapshot = snapshot;
-        let st = self.kernels.entry(kernel).or_default();
+    pub(crate) fn begin_wave(&mut self, ctx: &WaveCtx) {
+        let st = self.kernels.entry(ctx.kernel).or_default();
         st.waves += 1;
-        if snapshot {
+        if ctx.snapshot {
             st.snapshot = true;
         } else {
             st.live = true;
         }
         self.wave_lanes.clear();
-        self.wave_lane_count = 0;
         self.last_touch.clear();
     }
 
-    pub(crate) fn end_wave(&mut self) {
-        self.check_gangs();
-        let st = self.kernels.entry(self.kernel).or_default();
-        st.max_lanes = st.max_lanes.max(self.wave_lane_count);
-        if self.window_snapshot {
-            self.close_window();
-            self.window_snapshot = false;
-        }
-    }
-
-    /// Grid-wide barrier: orders every pre-barrier access before every
-    /// post-barrier one — the live window closes.
-    pub(crate) fn on_barrier(&mut self) {
-        self.close_window();
-    }
-
-    fn accessor(&self, lane: u64, gang: u64) -> IrAccessor {
-        IrAccessor { wave: self.wave, lane, gang, kernel: self.kernel }
+    pub(crate) fn end_wave(&mut self, ctx: &WaveCtx) {
+        self.check_gangs(ctx);
+        let st = self.kernels.entry(ctx.kernel).or_default();
+        st.max_lanes = st.max_lanes.max(self.wave_lanes.len() as u64);
     }
 
     fn note_lane(&mut self, lane: u64, gang: u64, kind_tag: u8) {
-        let count = &mut self.wave_lane_count;
-        let e = self.wave_lanes.entry(lane).or_insert_with(|| {
-            *count += 1;
-            LaneSig { gang, sig: FNV_OFFSET, children: 0 }
-        });
+        let e = self.wave_lanes.entry(lane).or_insert(LaneSig { gang, sig: FNV_OFFSET });
         e.sig = (e.sig ^ kind_tag as u64).wrapping_mul(FNV_PRIME);
-    }
-
-    fn note_word(
-        &mut self,
-        addr: u64,
-        class: AccessClass,
-        a: IrAccessor,
-        buffer: &'static str,
-        index: u32,
-    ) {
-        let w = self.window.entry(addr).or_insert(WordSummary {
-            buffer,
-            index,
-            classes: [ClassSummary::default(); 5],
-        });
-        w.classes[class as usize].note(a);
-        self.peak_window_words = self.peak_window_words.max(self.window.len() as u64);
     }
 
     fn note_stride(&mut self, buffer: &'static str, lane: u64, index: u32) {
@@ -498,200 +384,109 @@ impl IrState {
         self.last_touch.insert(buffer, (lane, index));
     }
 
-    /// Plain or volatile load hook.
-    pub(crate) fn on_load(
-        &mut self,
-        addr: u64,
-        lane: u64,
-        gang: u64,
-        buffer: &'static str,
-        index: u32,
-        volatile: bool,
-    ) {
-        let a = self.accessor(lane, gang);
-        let class = if volatile { AccessClass::VolatileLoad } else { AccessClass::PlainLoad };
-        self.note_word(addr, class, a, buffer, index);
-        self.note_lane(lane, gang, 1);
-        self.traffic.entry(buffer).or_default().loads += 1;
-        self.note_stride(buffer, lane, index);
-    }
-
-    /// Plain store hook.
-    pub(crate) fn on_store(
-        &mut self,
-        addr: u64,
-        lane: u64,
-        gang: u64,
-        buffer: &'static str,
-        index: u32,
-    ) {
-        let a = self.accessor(lane, gang);
-        self.note_word(addr, AccessClass::Store, a, buffer, index);
-        self.note_lane(lane, gang, 2);
-        self.traffic.entry(buffer).or_default().stores += 1;
-        self.note_stride(buffer, lane, index);
-    }
-
-    /// Atomic RMW hook (all four flavours).
-    pub(crate) fn on_atomic(
-        &mut self,
-        addr: u64,
-        lane: u64,
-        gang: u64,
-        buffer: &'static str,
-        index: u32,
-    ) {
-        self.on_atomic_bulk(addr, lane, gang, buffer, index, 1);
-    }
-
-    /// Atomic RMW hook for a gang-aggregated bump: one instruction
-    /// whose operand covers `n` logical pushes (or drops). Queue
-    /// accounting stays per-element-exact under aggregation; the
-    /// contention tables count the single instruction that ran.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_atomic_bulk(
-        &mut self,
-        addr: u64,
-        lane: u64,
-        gang: u64,
-        buffer: &'static str,
-        index: u32,
-        n: u64,
-    ) {
-        let a = self.accessor(lane, gang);
-        self.note_word(addr, AccessClass::Atomic, a, buffer, index);
-        self.note_lane(lane, gang, 3);
-        self.traffic.entry(buffer).or_default().atomics += 1;
-        *self.atomic_sites.entry((buffer, index)).or_default() += 1;
-        self.note_stride(buffer, lane, index);
-        if let Some(&i) = self.tail_index.get(&addr) {
-            let q = &mut self.queues[i];
-            q.epoch += n;
-            q.pushes += n;
-            q.window_pushes += n;
-            q.high_water = q.high_water.max(q.epoch);
-        } else if let Some(&i) = self.overflow_index.get(&addr) {
-            self.queues[i].drops += n;
+    /// Record one event of the stream. A gang-aggregated queue bump
+    /// covers `ev.covers` logical pushes (or drops): queue accounting
+    /// stays per-element exact under aggregation, while the contention
+    /// tables count the single instruction that ran. Reserved stores
+    /// count as store traffic (they are one at the ISA level) but keep
+    /// their own class, so the hazard matrix can sanction them like the
+    /// atomic-exchange publish they replace.
+    pub(crate) fn access(&mut self, who: Accessor, ev: &AccessEvent) {
+        use AccessKind::*;
+        let kind_tag = match ev.kind {
+            PlainLoad | VolatileLoad => 1,
+            Store => 2,
+            Atomic => 3,
+            ChildLaunch => 4,
+            ReservedStore => 5,
+        };
+        self.note_lane(ev.lane, ev.gang, kind_tag);
+        if ev.kind == ChildLaunch {
+            return;
         }
-    }
-
-    /// Reserved-store hook: a plain store into a slot the storing lane
-    /// owns via a gang-collective tail reservation. Counted as store
-    /// traffic (it is one at the ISA level), classed separately so the
-    /// hazard matrix can sanction it like the atomic-exchange publish
-    /// it replaces.
-    pub(crate) fn on_reserved_store(
-        &mut self,
-        addr: u64,
-        lane: u64,
-        gang: u64,
-        buffer: &'static str,
-        index: u32,
-    ) {
-        let a = self.accessor(lane, gang);
-        self.note_word(addr, AccessClass::ReservedStore, a, buffer, index);
-        self.note_lane(lane, gang, 5);
-        self.traffic.entry(buffer).or_default().stores += 1;
-        self.note_stride(buffer, lane, index);
-    }
-
-    /// Dynamic-parallelism child launch hook.
-    pub(crate) fn on_child_launch(&mut self, lane: u64, gang: u64) {
-        self.note_lane(lane, gang, 4);
-        if let Some(e) = self.wave_lanes.get_mut(&lane) {
-            e.children += 1;
+        let w = self.window.entry(ev.addr).or_insert(WordSummary {
+            buffer: ev.buffer,
+            index: ev.index,
+            classes: [ClassSummary::default(); 5],
+        });
+        w.classes[ev.kind as usize].note(who);
+        self.peak_window_words = self.peak_window_words.max(self.window.len() as u64);
+        let t = self.traffic.entry(ev.buffer).or_default();
+        match ev.kind {
+            PlainLoad | VolatileLoad => t.loads += 1,
+            Atomic => {
+                t.atomics += 1;
+                *self.atomic_sites.entry((ev.buffer, ev.index)).or_default() += 1;
+                if let Some(&i) = self.tail_index.get(&ev.addr) {
+                    let q = &mut self.queues[i];
+                    q.epoch += ev.covers;
+                    q.pushes += ev.covers;
+                    q.window_pushes += ev.covers;
+                    q.high_water = q.high_water.max(q.epoch);
+                } else if let Some(&i) = self.overflow_index.get(&ev.addr) {
+                    self.queues[i].drops += ev.covers;
+                }
+            }
+            _ => t.stores += 1,
         }
+        self.note_stride(ev.buffer, ev.lane, ev.index);
     }
 
     /// Host-side word write (e.g. a drain resetting a queue tail):
     /// host writes happen between waves and re-anchor the mirrored
     /// tail epoch.
-    pub(crate) fn on_host_write(&mut self, addr: u64, val: u32) {
+    pub(crate) fn host_write(&mut self, addr: u64, val: u32) {
         if let Some(&i) = self.tail_index.get(&addr) {
             self.queues[i].epoch = val as u64;
         }
     }
 
-    fn check_gangs(&mut self) {
-        // Group the wave's lanes by gang (BTreeMap iteration is lane-
-        // ordered; gangs own consecutive phys lanes, so one linear scan
-        // groups them).
-        let mut checked = 0u64;
-        let mut divergent = 0u64;
-        let mut child_div = 0u64;
-        let mut cur_gang = u64::MAX;
-        let mut first: Option<LaneSig> = None;
-        let mut members = 0u64;
-        let mut sig_mismatch = false;
-        let mut child_mismatch = false;
-        let flush = |members: u64,
-                     sig_mismatch: bool,
-                     child_mismatch: bool,
-                     checked: &mut u64,
-                     divergent: &mut u64,
-                     child_div: &mut u64| {
-            if members >= 2 {
-                *checked += 1;
-                if sig_mismatch {
-                    *divergent += 1;
-                }
-                if child_mismatch {
-                    *child_div += 1;
-                }
-            }
-        };
-        for sig in self.wave_lanes.values() {
-            if sig.gang != cur_gang {
-                flush(
-                    members,
-                    sig_mismatch,
-                    child_mismatch,
-                    &mut checked,
-                    &mut divergent,
-                    &mut child_div,
-                );
-                cur_gang = sig.gang;
-                first = Some(*sig);
-                members = 1;
-                sig_mismatch = false;
-                child_mismatch = false;
-            } else {
+    /// Gang lints: members of one gang must agree on their op-kind
+    /// sequence and on how many child kernels they launched.
+    fn check_gangs(&mut self, ctx: &WaveCtx) {
+        let children = |gang: u64, lane: u64| ctx.children.get(&(gang, lane)).copied().unwrap_or(0);
+        let st = self.kernels.entry(ctx.kernel).or_default();
+        // BTreeMap iteration is lane-ordered and gangs own consecutive
+        // phys lanes, so one linear scan groups them.
+        let mut lanes = self.wave_lanes.iter().peekable();
+        while let Some((&lane0, first)) = lanes.next() {
+            let kids = children(first.gang, lane0);
+            let (mut members, mut sig_mismatch, mut child_mismatch) = (1, false, false);
+            while let Some((&lane, sig)) = lanes.next_if(|(_, s)| s.gang == first.gang) {
                 members += 1;
-                let f = first.expect("first lane of gang recorded");
-                sig_mismatch |= sig.sig != f.sig;
-                child_mismatch |= sig.children != f.children;
+                sig_mismatch |= sig.sig != first.sig;
+                child_mismatch |= children(sig.gang, lane) != kids;
+            }
+            if members >= 2 {
+                st.gangs_checked += 1;
+                st.gangs_divergent += u64::from(sig_mismatch);
+                st.child_divergent += u64::from(child_mismatch);
             }
         }
-        flush(members, sig_mismatch, child_mismatch, &mut checked, &mut divergent, &mut child_div);
-        let st = self.kernels.entry(self.kernel).or_default();
-        st.gangs_checked += checked;
-        st.gangs_divergent += divergent;
-        st.child_divergent += child_div;
     }
 
     fn record_hazard(
         &mut self,
         kind: HazardKind,
-        buffer: &'static str,
-        index: u32,
+        w: &WordSummary,
         addr: u64,
-        pair: (IrAccessor, IrAccessor),
+        snapshot_window: bool,
+        (a, b): (Accessor, Accessor),
     ) {
-        let (a, b) = pair;
         // Symmetric kernel pair: order lexicographically for dedup.
         let (k1, k2) =
             if a.kernel <= b.kernel { (a.kernel, b.kernel) } else { (b.kernel, a.kernel) };
-        match self.seen.get(&(kind, buffer, k1, k2)) {
+        match self.seen.get(&(kind, w.buffer, k1, k2)) {
             Some(&i) => self.hazards[i].words += 1,
             None => {
-                self.seen.insert((kind, buffer, k1, k2), self.hazards.len());
+                self.seen.insert((kind, w.buffer, k1, k2), self.hazards.len());
                 self.hazards.push(Hazard {
                     kind,
-                    buffer,
-                    index,
+                    buffer: w.buffer,
+                    index: w.index,
                     addr,
                     accessors: [a, b],
-                    snapshot_window: self.window_snapshot,
+                    snapshot_window,
                     words: 1,
                 });
             }
@@ -700,66 +495,48 @@ impl IrState {
 
     /// Run the hazard matrix over the closing window and drop it.
     /// Every surviving fact is O(1)-sized; unshared words vanish here.
-    fn close_window(&mut self) {
+    pub(crate) fn close_window(&mut self, snapshot: bool) {
         if !self.window.is_empty() {
             self.windows += 1;
         }
         // Deterministic order: sort the touched addresses.
         let mut addrs: Vec<u64> = self.window.keys().copied().collect();
         addrs.sort_unstable();
-        let snapshot = self.window_snapshot;
         for addr in addrs {
             let w = self.window[&addr];
             let [pl, vl, st, at, rs] = w.classes;
+            // Plain loads read the kernel-entry snapshot inside a
+            // synchronous kernel, so they only race in live windows.
+            let live = |pair: Option<(Accessor, Accessor)>| pair.filter(|_| !snapshot);
             use HazardKind::*;
             // Red hazards first, then sanctioned idioms; every
             // applicable kind is recorded (dedup bounds the volume).
-            if let Some(p) = st.self_pair() {
-                self.record_hazard(WriteWrite, w.buffer, w.index, addr, p);
-            }
-            if let Some(p) = st.cross_pair(&at) {
-                self.record_hazard(MixedAtomic, w.buffer, w.index, addr, p);
-            }
-            // A plain store against a reserved store is still a plain
-            // store against concurrent traffic: the reserved side owns
-            // its slot, the plain side owns nothing.
-            if let Some(p) = st.cross_pair(&rs) {
-                self.record_hazard(WriteWrite, w.buffer, w.index, addr, p);
-            }
-            if !snapshot {
-                // Plain loads read the kernel-entry snapshot inside a
-                // synchronous kernel, so they only race in live windows.
-                if let Some(p) = pl.cross_pair(&st) {
-                    self.record_hazard(SnapshotRead, w.buffer, w.index, addr, p);
+            let found = [
+                (WriteWrite, st.self_pair()),
+                (MixedAtomic, st.cross_pair(&at)),
+                // A plain store against a reserved store is still a
+                // plain store against concurrent traffic: the reserved
+                // side owns its slot, the plain side owns nothing.
+                (WriteWrite, st.cross_pair(&rs)),
+                (SnapshotRead, live(pl.cross_pair(&st))),
+                (SnapshotRead, live(pl.cross_pair(&at))),
+                (SnapshotRead, live(pl.cross_pair(&rs))),
+                (UnsanctionedPublish, st.cross_pair(&vl)),
+                (AtomicShared, at.self_pair()),
+                (VolatileRead, vl.cross_pair(&at)),
+                // Reserved publishes: slot ownership gives them atomic-
+                // exchange discipline against each other, against
+                // genuine atomics (a recycled slot raced by a scalar
+                // exchange), and against live volatile readers (the
+                // drain side).
+                (ReservedPublish, rs.self_pair()),
+                (ReservedPublish, rs.cross_pair(&at)),
+                (ReservedPublish, vl.cross_pair(&rs)),
+            ];
+            for (kind, pair) in found {
+                if let Some(pair) = pair {
+                    self.record_hazard(kind, &w, addr, snapshot, pair);
                 }
-                if let Some(p) = pl.cross_pair(&at) {
-                    self.record_hazard(SnapshotRead, w.buffer, w.index, addr, p);
-                }
-                if let Some(p) = pl.cross_pair(&rs) {
-                    self.record_hazard(SnapshotRead, w.buffer, w.index, addr, p);
-                }
-            }
-            if let Some(p) = st.cross_pair(&vl) {
-                self.record_hazard(UnsanctionedPublish, w.buffer, w.index, addr, p);
-            }
-            if let Some(p) = at.self_pair() {
-                self.record_hazard(AtomicShared, w.buffer, w.index, addr, p);
-            }
-            if let Some(p) = vl.cross_pair(&at) {
-                self.record_hazard(VolatileRead, w.buffer, w.index, addr, p);
-            }
-            // Reserved publishes: slot ownership gives them atomic-
-            // exchange discipline against each other, against genuine
-            // atomics (a recycled slot raced by a scalar exchange), and
-            // against live volatile readers (the drain side).
-            if let Some(p) = rs.self_pair() {
-                self.record_hazard(ReservedPublish, w.buffer, w.index, addr, p);
-            }
-            if let Some(p) = rs.cross_pair(&at) {
-                self.record_hazard(ReservedPublish, w.buffer, w.index, addr, p);
-            }
-            if let Some(p) = vl.cross_pair(&rs) {
-                self.record_hazard(ReservedPublish, w.buffer, w.index, addr, p);
             }
         }
         self.window.clear();
@@ -770,8 +547,8 @@ impl IrState {
     }
 
     /// Close the trailing window and hand back the retained IR.
-    pub(crate) fn finish(mut self) -> AccessIr {
-        self.close_window();
+    pub(crate) fn finish(mut self, snapshot: bool) -> AccessIr {
+        self.close_window(snapshot);
         let mut queues: Vec<QueueUsage> = self
             .queues
             .into_iter()
@@ -798,18 +575,21 @@ impl IrState {
     }
 }
 
-impl Default for IrState {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::{AccessKind::*, AccessStream};
 
-    fn acc(wave: u64, lane: u64) -> IrAccessor {
-        IrAccessor { wave, lane, gang: lane, kernel: "k" }
+    fn recorder() -> AccessStream {
+        AccessStream { ir: Some(IrState::default()), ..AccessStream::default() }
+    }
+
+    fn finish(s: AccessStream) -> AccessIr {
+        s.ir.expect("armed").finish(s.ctx.snapshot)
+    }
+
+    fn acc(wave: u64, lane: u64) -> Accessor {
+        Accessor { wave, lane, gang: lane, kernel: "k" }
     }
 
     #[test]
@@ -839,17 +619,17 @@ mod tests {
 
     #[test]
     fn window_hazards_and_barrier_ordering() {
-        let mut ir = IrState::new();
-        ir.begin_wave("w", false);
-        ir.on_store(0x1000, 0, 0, "buf", 0);
-        ir.on_store(0x1000, 1, 1, "buf", 0);
+        let mut ir = recorder();
+        ir.begin_wave("w", false, 0);
+        ir.at(Store, 0x1000, 0, 0, "buf", 0, false);
+        ir.at(Store, 0x1000, 1, 1, "buf", 0, false);
         ir.end_wave();
-        ir.on_barrier();
+        ir.barrier();
         // Post-barrier store to the same word: ordered, no new hazard.
-        ir.begin_wave("w", false);
-        ir.on_store(0x1000, 2, 2, "buf", 0);
+        ir.begin_wave("w", false, 0);
+        ir.at(Store, 0x1000, 2, 2, "buf", 0, false);
         ir.end_wave();
-        let out = ir.finish();
+        let out = finish(ir);
         let ww: Vec<_> = out.hazards.iter().filter(|h| h.kind == HazardKind::WriteWrite).collect();
         assert_eq!(ww.len(), 1, "{:?}", out.hazards);
         assert_eq!(ww[0].words, 1);
@@ -857,48 +637,48 @@ mod tests {
 
     #[test]
     fn snapshot_window_sanctions_plain_loads() {
-        let mut ir = IrState::new();
-        ir.begin_wave("sync", true);
-        ir.on_load(0x1000, 0, 0, "dist", 0, false);
-        ir.on_atomic(0x1000, 1, 1, "dist", 0);
+        let mut ir = recorder();
+        ir.begin_wave("sync", true, 0);
+        ir.at(PlainLoad, 0x1000, 0, 0, "dist", 0, false);
+        ir.at(Atomic, 0x1000, 1, 1, "dist", 0, false);
         ir.end_wave();
-        let out = ir.finish();
+        let out = finish(ir);
         assert!(
             out.hazards.iter().all(|h| h.kind != HazardKind::SnapshotRead),
             "{:?}",
             out.hazards
         );
         // The same shape in a live wave is a snapshot-read hazard.
-        let mut ir = IrState::new();
-        ir.begin_wave("live", false);
-        ir.on_load(0x1000, 0, 0, "dist", 0, false);
-        ir.on_atomic(0x1000, 1, 1, "dist", 0);
+        let mut ir = recorder();
+        ir.begin_wave("live", false, 0);
+        ir.at(PlainLoad, 0x1000, 0, 0, "dist", 0, false);
+        ir.at(Atomic, 0x1000, 1, 1, "dist", 0, false);
         ir.end_wave();
-        let out = ir.finish();
+        let out = finish(ir);
         assert!(out.hazards.iter().any(|h| h.kind == HazardKind::SnapshotRead));
     }
 
     #[test]
     fn queue_epochs_follow_device_and_host() {
-        let mut ir = IrState::new();
-        ir.declare_queue(QueueDecl {
+        let mut ir = recorder();
+        ir.ir.as_mut().expect("armed").declare_queue(QueueDecl {
             label: "q",
             tail_addr: 0x2000,
             overflow_addr: 0x3000,
             capacity: 4,
             spill: false,
         });
-        ir.begin_wave("push", false);
+        ir.begin_wave("push", false, 0);
         for lane in 0..6 {
-            ir.on_atomic(0x2000, lane, lane, "queue_tail", 0);
+            ir.at(Atomic, 0x2000, lane, lane, "queue_tail", 0, false);
         }
         ir.end_wave();
-        ir.on_host_write(0x2000, 0); // drain
-        ir.begin_wave("push", false);
-        ir.on_atomic(0x2000, 0, 0, "queue_tail", 0);
-        ir.on_atomic(0x3000, 1, 1, "queue_overflow", 0);
+        ir.host_write(0x2000, 0); // drain
+        ir.begin_wave("push", false, 0);
+        ir.at(Atomic, 0x2000, 0, 0, "queue_tail", 0, false);
+        ir.at(Atomic, 0x3000, 1, 1, "queue_overflow", 0, false);
         ir.end_wave();
-        let out = ir.finish();
+        let out = finish(ir);
         assert_eq!(out.queues.len(), 1);
         let q = &out.queues[0];
         assert_eq!(q.pushes, 7);
@@ -909,17 +689,17 @@ mod tests {
 
     #[test]
     fn gang_signature_divergence_counted() {
-        let mut ir = IrState::new();
-        ir.begin_wave("gang", true);
+        let mut ir = recorder();
+        ir.begin_wave("gang", true, 0);
         // Gang 0 (lanes 0,1): same op sequence. Gang 1 (lanes 2,3):
         // lane 3 does an extra atomic.
-        ir.on_load(0x10, 0, 0, "a", 0, false);
-        ir.on_load(0x14, 1, 0, "a", 1, false);
-        ir.on_load(0x18, 2, 1, "a", 2, false);
-        ir.on_load(0x1c, 3, 1, "a", 3, false);
-        ir.on_atomic(0x20, 3, 1, "acc", 0);
+        ir.at(PlainLoad, 0x10, 0, 0, "a", 0, false);
+        ir.at(PlainLoad, 0x14, 1, 0, "a", 1, false);
+        ir.at(PlainLoad, 0x18, 2, 1, "a", 2, false);
+        ir.at(PlainLoad, 0x1c, 3, 1, "a", 3, false);
+        ir.at(Atomic, 0x20, 3, 1, "acc", 0, false);
         ir.end_wave();
-        let out = ir.finish();
+        let out = finish(ir);
         let st = out.kernels["gang"];
         assert_eq!(st.gangs_checked, 2);
         assert_eq!(st.gangs_divergent, 1);

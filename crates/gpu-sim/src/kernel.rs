@@ -13,14 +13,13 @@
 //!   then run arbitrarily many task waves (the asynchronous phase-1
 //!   engine of §4.3 builds on this).
 
+use crate::access::{AccessEvent, AccessKind, AccessStream};
 use crate::buffer::{Arena, Buf};
 use crate::cost::kernel_time;
 use crate::counters::KernelReport;
 use crate::device::Device;
 use crate::fault::{AtomicMinFault, FaultModel, FaultPlan};
-use crate::ir::IrState;
 use crate::replay::replay_warp;
-use crate::san::SanState;
 use crate::trace::{LaneTrace, Op};
 use crate::{SECTOR_BYTES, WARP_SIZE};
 
@@ -99,6 +98,24 @@ pub(crate) struct ScatterReq {
     pub(crate) op: ScatterOp,
 }
 
+/// One op the wave-end flush materializes, with its operand.
+#[derive(Clone, Copy)]
+enum FlushOp {
+    /// Leader `atomicAdd`. Every flush add is an aggregated bump: the
+    /// operand is the number of logical pushes (or drops) it covers,
+    /// kept per-element exact in the IR's queue accounting.
+    Add(u32),
+    /// Leader `atomicMin` of the warp's reduced minimum. Reads the old
+    /// value, so it carries the scalar `atomicMin`'s poison check.
+    Min(u32),
+    /// Leader-only `atomicExch` (flag publication); never reads.
+    Exch(u32),
+    /// Reserved store into an owned slot: a plain store at the ISA
+    /// level, classed separately so the stream's consumers sanction it
+    /// like the atomic-exchange publish it replaces; never reads.
+    ReservedStore(u32),
+}
+
 /// Handle a kernel body uses to touch device state. Every method
 /// records the instructions a real GPU thread would execute.
 pub struct Lane<'a> {
@@ -107,8 +124,7 @@ pub struct Lane<'a> {
     traffic: &'a mut Vec<[u64; 3]>,
     scatter: &'a mut Vec<ScatterReq>,
     fault: Option<&'a mut FaultPlan>,
-    san: Option<&'a mut SanState>,
-    ir: Option<&'a mut IrState>,
+    access: Option<&'a mut AccessStream>,
     trace: LaneTrace,
     tid: u64,
     gang_rank: u32,
@@ -137,11 +153,24 @@ impl<'a> Lane<'a> {
 
     /// Physical lane id: the flattened SIMT lane index
     /// (`tid * gang_size + gang_rank`). This is the identity the
-    /// sanitizer and the IR recorder key races on — two accesses with
-    /// the same `(wave, phys_id)` are program-ordered.
+    /// access-event stream keys races on — two accesses with the same
+    /// `(wave, phys_id)` are program-ordered.
     #[inline]
     pub fn phys_id(&self) -> u64 {
         self.tid * self.gang_size as u64 + self.gang_rank as u64
+    }
+
+    /// Feed `buf[idx]`'s access to the armed access-event stream; the
+    /// one branch every op pays when nothing is armed. `reads` is false
+    /// for stores and for `atomicExch` — the only atomic whose effect
+    /// does not depend on the old value, so exchanging into a
+    /// never-written word is an initialization, not an uninit read.
+    #[inline]
+    fn observe(&mut self, kind: AccessKind, buf: Buf, idx: u32, reads: bool) {
+        let (lane, gang) = (self.phys_id(), self.tid);
+        if let Some(stream) = self.access.as_deref_mut() {
+            stream.access(AccessEvent::word(self.arena, kind, buf, idx, lane, gang, reads));
+        }
     }
 
     /// Global load of one word. Inside a synchronous kernel this
@@ -153,14 +182,7 @@ impl<'a> Lane<'a> {
         let addr = self.arena.addr(buf, idx);
         self.trace.push(Op::Load(addr));
         self.traffic[buf.id as usize][0] += 1;
-        let (lane, gang) = (self.phys_id(), self.tid);
-        if let Some(san) = self.san.as_deref_mut() {
-            let poisoned = self.arena.poisoned_visible(buf, idx);
-            san.on_plain_load(addr, lane, gang, self.arena.label(buf), idx, poisoned);
-        }
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_load(addr, lane, gang, self.arena.label(buf), idx, false);
-        }
+        self.observe(AccessKind::PlainLoad, buf, idx, true);
         let val = self.arena.load_visible(buf, idx);
         self.fault_load(buf, idx, val)
     }
@@ -200,14 +222,7 @@ impl<'a> Lane<'a> {
         let addr = self.arena.addr(buf, idx);
         self.trace.push(Op::LoadVolatile(addr));
         self.traffic[buf.id as usize][0] += 1;
-        let (lane, gang) = (self.phys_id(), self.tid);
-        if let Some(san) = self.san.as_deref_mut() {
-            let poisoned = self.arena.poisoned_live(buf, idx);
-            san.on_volatile_load(addr, lane, gang, self.arena.label(buf), idx, poisoned);
-        }
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_load(addr, lane, gang, self.arena.label(buf), idx, true);
-        }
+        self.observe(AccessKind::VolatileLoad, buf, idx, true);
         let val = self.arena.load(buf, idx);
         self.fault_load(buf, idx, val)
     }
@@ -218,30 +233,8 @@ impl<'a> Lane<'a> {
         let addr = self.arena.addr(buf, idx);
         self.trace.push(Op::Store(addr));
         self.traffic[buf.id as usize][1] += 1;
-        let (lane, gang) = (self.phys_id(), self.tid);
-        if let Some(san) = self.san.as_deref_mut() {
-            san.on_store(addr, lane, gang, self.arena.label(buf), idx);
-        }
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_store(addr, lane, gang, self.arena.label(buf), idx);
-        }
+        self.observe(AccessKind::Store, buf, idx, false);
         self.arena.store(buf, idx, val);
-    }
-
-    /// Sanitizer + IR entry shared by all four atomic flavours.
-    /// `reads` is false for `atomicExch` — the only atomic whose
-    /// effect does not depend on the old value, so exchanging into a
-    /// never-written word is an initialization, not an uninit read.
-    #[inline]
-    fn san_atomic(&mut self, buf: Buf, idx: u32, addr: u64, reads: bool) {
-        let (lane, gang) = (self.phys_id(), self.tid);
-        if let Some(san) = self.san.as_deref_mut() {
-            let poisoned = reads && self.arena.poisoned_live(buf, idx);
-            san.on_atomic(addr, lane, gang, self.arena.label(buf), idx, poisoned);
-        }
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_atomic(addr, lane, gang, self.arena.label(buf), idx);
-        }
     }
 
     /// `atomicMin`: returns the previous value (Alg. 1's relaxation
@@ -251,7 +244,7 @@ impl<'a> Lane<'a> {
         let addr = self.arena.addr(buf, idx);
         self.trace.push(Op::Atomic(addr));
         self.traffic[buf.id as usize][2] += 1;
-        self.san_atomic(buf, idx, addr, true);
+        self.observe(AccessKind::Atomic, buf, idx, true);
         let old = self.arena.load(buf, idx);
         if let Some(plan) = self.fault.as_deref_mut() {
             match plan.on_atomic_min(self.arena.label(buf), idx) {
@@ -282,7 +275,7 @@ impl<'a> Lane<'a> {
         let addr = self.arena.addr(buf, idx);
         self.trace.push(Op::Atomic(addr));
         self.traffic[buf.id as usize][2] += 1;
-        self.san_atomic(buf, idx, addr, true);
+        self.observe(AccessKind::Atomic, buf, idx, true);
         let old = self.arena.load(buf, idx);
         self.arena.store(buf, idx, old.wrapping_add(val));
         old
@@ -294,7 +287,7 @@ impl<'a> Lane<'a> {
         let addr = self.arena.addr(buf, idx);
         self.trace.push(Op::Atomic(addr));
         self.traffic[buf.id as usize][2] += 1;
-        self.san_atomic(buf, idx, addr, true);
+        self.observe(AccessKind::Atomic, buf, idx, true);
         let old = self.arena.load(buf, idx);
         if old == expected {
             self.arena.store(buf, idx, val);
@@ -308,7 +301,7 @@ impl<'a> Lane<'a> {
         let addr = self.arena.addr(buf, idx);
         self.trace.push(Op::Atomic(addr));
         self.traffic[buf.id as usize][2] += 1;
-        self.san_atomic(buf, idx, addr, false);
+        self.observe(AccessKind::Atomic, buf, idx, false);
         let old = self.arena.load(buf, idx);
         self.arena.store(buf, idx, val);
         old
@@ -445,21 +438,7 @@ impl<'a> Lane<'a> {
         threads: u64,
         body: impl Fn(&mut Lane<'_>) + 'static,
     ) {
-        // The launch itself costs a few instructions on the parent.
-        self.alu(4);
-        let lane = self.phys_id();
-        if let Some(san) = self.san.as_deref_mut() {
-            san.on_child_launch(lane, self.tid);
-        }
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_child_launch(lane, self.tid);
-        }
-        if let Some(plan) = self.fault.as_deref_mut() {
-            if plan.on_child_launch(name, threads) {
-                return;
-            }
-        }
-        self.children.push(ChildLaunch { name, threads, gang_size: 1, body: Box::new(body) });
+        self.launch_child_gangs(name, threads, 1, body);
     }
 
     /// Dynamic parallelism with cooperative gangs.
@@ -470,25 +449,19 @@ impl<'a> Lane<'a> {
         gang_size: u32,
         body: impl Fn(&mut Lane<'_>) + 'static,
     ) {
+        // The launch itself costs a few instructions on the parent.
         self.alu(4);
-        let lane = self.phys_id();
-        if let Some(san) = self.san.as_deref_mut() {
-            san.on_child_launch(lane, self.tid);
+        let (lane, gang) = (self.phys_id(), self.tid);
+        if let Some(stream) = self.access.as_deref_mut() {
+            stream.access(AccessEvent::child_launch(lane, gang));
         }
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_child_launch(lane, self.tid);
-        }
+        let threads = items * gang_size as u64;
         if let Some(plan) = self.fault.as_deref_mut() {
-            if plan.on_child_launch(name, items * gang_size as u64) {
+            if plan.on_child_launch(name, threads) {
                 return;
             }
         }
-        self.children.push(ChildLaunch {
-            name,
-            threads: items * gang_size as u64,
-            gang_size,
-            body: Box::new(body),
-        });
+        self.children.push(ChildLaunch { name, threads, gang_size, body: Box::new(body) });
     }
 }
 
@@ -589,13 +562,8 @@ impl Device {
         if let Some(plan) = self.fault.as_mut() {
             plan.on_kernel_start(&self.arena, self.current_stream);
         }
-        if let Some(san) = self.san.as_deref_mut() {
-            san.set_stream(self.current_stream);
-            san.begin_wave(name, snapshot);
-        }
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.set_stream(self.current_stream);
-            ir.begin_wave(name, snapshot);
+        if let Some(stream) = self.access.as_deref_mut() {
+            stream.begin_wave(name, snapshot, self.current_stream);
         }
         if snapshot {
             self.arena.begin_snapshot();
@@ -626,8 +594,7 @@ impl Device {
                 traffic: &mut self.buffer_traffic,
                 scatter: &mut self.pending_scatter,
                 fault: self.fault.as_mut(),
-                san: self.san.as_deref_mut(),
-                ir: self.ir.as_deref_mut(),
+                access: self.access.as_deref_mut(),
                 trace: LaneTrace::default(),
                 tid: lane_idx / gang_size as u64,
                 gang_rank: (lane_idx % gang_size as u64) as u32,
@@ -670,11 +637,8 @@ impl Device {
         if snapshot {
             self.arena.end_snapshot();
         }
-        if let Some(san) = self.san.as_deref_mut() {
-            san.end_wave();
-        }
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.end_wave();
+        if let Some(stream) = self.access.as_deref_mut() {
+            stream.end_wave();
         }
         let dram_bytes = (self.counters.dram_transactions - dram_before) * SECTOR_BYTES;
         let max_cycles = sm_cycles.iter().copied().max().unwrap_or(0);
@@ -769,15 +733,14 @@ impl Device {
                             })
                             .sum();
                         let (_, r0) = &group[0];
-                        self.emit_atomic_add(
+                        self.emit(
                             &mut placed,
                             PH_LEADER,
                             r0.lane,
                             r0.gang,
                             *buf,
                             *idx,
-                            total,
-                            total as u64,
+                            FlushOp::Add(total),
                         );
                     }
                     ScatterOp::Min { buf, idx, .. } => {
@@ -792,7 +755,15 @@ impl Device {
                             .min()
                             .expect("non-empty group");
                         let (_, r0) = &group[0];
-                        self.emit_atomic_min(&mut placed, r0.lane, r0.gang, *buf, *idx, m);
+                        self.emit(
+                            &mut placed,
+                            PH_LEADER,
+                            r0.lane,
+                            r0.gang,
+                            *buf,
+                            *idx,
+                            FlushOp::Min(m),
+                        );
                     }
                     ScatterOp::Flag { buf, idx, .. } => {
                         // The warp ballots: one store per distinct
@@ -805,14 +776,14 @@ impl Device {
                             };
                             if !done.contains(&value) {
                                 done.push(value);
-                                self.emit_reserved_store(
+                                self.emit(
                                     &mut placed,
                                     PH_STORE,
                                     r.lane,
                                     r.gang,
                                     *buf,
                                     *idx,
-                                    value,
+                                    FlushOp::ReservedStore(value),
                                 );
                             }
                         }
@@ -822,7 +793,15 @@ impl Device {
                         // lane performs it for the whole warp.
                         let (_, r) = &group[0];
                         let ScatterOp::FlagOnce { value, .. } = r.op else { unreachable!() };
-                        self.emit_atomic_exch(&mut placed, r.lane, r.gang, *buf, *idx, value);
+                        self.emit(
+                            &mut placed,
+                            PH_LEADER,
+                            r.lane,
+                            r.gang,
+                            *buf,
+                            *idx,
+                            FlushOp::Exch(value),
+                        );
                     }
                 }
                 i = j;
@@ -891,21 +870,21 @@ impl Device {
         let t = scatter.target;
         let (leader_lane, leader_gang, _) = members[0];
         let k = members.len() as u32;
-        let old = self.emit_atomic_add(
-            placed,
-            PH_LEADER,
-            leader_lane,
-            leader_gang,
-            t.tail,
-            0,
-            k,
-            k as u64,
-        );
+        let old =
+            self.emit(placed, PH_LEADER, leader_lane, leader_gang, t.tail, 0, FlushOp::Add(k));
         let mut overshoot: Vec<(u64, u64, u32)> = Vec::new();
         for (i, &(lane, gang, value)) in members.iter().enumerate() {
             let slot = old.wrapping_add(i as u32);
             if slot < t.capacity {
-                self.emit_reserved_store(placed, PH_STORE, lane, gang, t.data, slot, value);
+                self.emit(
+                    placed,
+                    PH_STORE,
+                    lane,
+                    gang,
+                    t.data,
+                    slot,
+                    FlushOp::ReservedStore(value),
+                );
             } else {
                 overshoot.push((lane, gang, value));
             }
@@ -917,33 +896,24 @@ impl Device {
             None => {
                 let (lane, gang, _) = overshoot[0];
                 let n = overshoot.len() as u32;
-                self.emit_atomic_add(placed, PH_OVERFLOW, lane, gang, t.overflow, 0, n, n as u64);
+                self.emit(placed, PH_OVERFLOW, lane, gang, t.overflow, 0, FlushOp::Add(n));
             }
             Some(sp) => {
                 let (lane, gang, _) = overshoot[0];
                 let k2 = overshoot.len() as u32;
-                let old2 = self.emit_atomic_add(
-                    placed,
-                    PH_OVERFLOW,
-                    lane,
-                    gang,
-                    sp.tail,
-                    0,
-                    k2,
-                    k2 as u64,
-                );
+                let old2 = self.emit(placed, PH_OVERFLOW, lane, gang, sp.tail, 0, FlushOp::Add(k2));
                 let mut dropped: Vec<(u64, u64)> = Vec::new();
                 for (i, &(lane, gang, value)) in overshoot.iter().enumerate() {
                     let slot = old2.wrapping_add(i as u32);
                     if slot < sp.capacity {
-                        self.emit_reserved_store(
+                        self.emit(
                             placed,
                             PH_SPILL_STORE,
                             lane,
                             gang,
                             sp.data,
                             slot,
-                            value,
+                            FlushOp::ReservedStore(value),
                         );
                     } else {
                         dropped.push((lane, gang));
@@ -954,26 +924,26 @@ impl Device {
                 // scalar next-level push did.
                 if let Some(&(lane, gang)) = dropped.first() {
                     let n = dropped.len() as u32;
-                    self.emit_atomic_add(
+                    self.emit(
                         placed,
                         PH_SPILL_OVERFLOW,
                         lane,
                         gang,
                         sp.overflow,
                         0,
-                        n,
-                        n as u64,
+                        FlushOp::Add(n),
                     );
                 }
             }
         }
     }
 
-    /// Flush-time `atomicAdd` placed in epilogue phase `phase`; `n` is
-    /// the number of logical pushes (or drops) the one instruction
-    /// covers, kept per-element-exact in the IR's queue accounting.
+    /// Materialize one flush-time op for `lane` in epilogue phase
+    /// `phase`: place it, charge its buffer traffic, feed it to the
+    /// armed access-event stream and apply it to memory. Returns the
+    /// word's old value.
     #[allow(clippy::too_many_arguments)]
-    fn emit_atomic_add(
+    fn emit(
         &mut self,
         placed: &mut Vec<(u8, u64, Op)>,
         phase: u8,
@@ -981,101 +951,36 @@ impl Device {
         gang: u64,
         buf: Buf,
         idx: u32,
-        val: u32,
-        n: u64,
+        op: FlushOp,
     ) -> u32 {
         let addr = self.arena.addr(buf, idx);
-        placed.push((phase, lane, Op::Atomic(addr)));
-        self.buffer_traffic[buf.id as usize][2] += 1;
-        if let Some(san) = self.san.as_deref_mut() {
-            let poisoned = self.arena.poisoned_live(buf, idx);
-            san.on_atomic(addr, lane, gang, self.arena.label(buf), idx, poisoned);
+        let (kind, reads, covers) = match op {
+            FlushOp::Add(n) => (AccessKind::Atomic, true, u64::from(n)),
+            FlushOp::Min(_) => (AccessKind::Atomic, true, 1),
+            FlushOp::Exch(_) => (AccessKind::Atomic, false, 1),
+            FlushOp::ReservedStore(_) => (AccessKind::ReservedStore, false, 1),
+        };
+        if kind == AccessKind::ReservedStore {
+            placed.push((phase, lane, Op::Store(addr)));
+            self.buffer_traffic[buf.id as usize][1] += 1;
+        } else {
+            placed.push((phase, lane, Op::Atomic(addr)));
+            self.buffer_traffic[buf.id as usize][2] += 1;
         }
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_atomic_bulk(addr, lane, gang, self.arena.label(buf), idx, n);
+        if let Some(stream) = self.access.as_deref_mut() {
+            let ev = AccessEvent::word(&self.arena, kind, buf, idx, lane, gang, reads);
+            stream.access(AccessEvent { covers, ..ev });
         }
         let old = self.arena.load(buf, idx);
-        self.arena.store(buf, idx, old.wrapping_add(val));
+        let new = match op {
+            FlushOp::Add(n) => Some(old.wrapping_add(n)),
+            FlushOp::Min(v) => (v < old).then_some(v),
+            FlushOp::Exch(v) | FlushOp::ReservedStore(v) => Some(v),
+        };
+        if let Some(v) = new {
+            self.arena.store(buf, idx, v);
+        }
         old
-    }
-
-    /// Flush-time reserved store placed in epilogue phase `phase`: a
-    /// plain store at the ISA level, classed separately so the
-    /// sanitizer and IR sanction it like the atomic-exchange publish
-    /// it replaces.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_reserved_store(
-        &mut self,
-        placed: &mut Vec<(u8, u64, Op)>,
-        phase: u8,
-        lane: u64,
-        gang: u64,
-        buf: Buf,
-        idx: u32,
-        val: u32,
-    ) {
-        let addr = self.arena.addr(buf, idx);
-        placed.push((phase, lane, Op::Store(addr)));
-        self.buffer_traffic[buf.id as usize][1] += 1;
-        if let Some(san) = self.san.as_deref_mut() {
-            san.on_reserved_store(addr, lane, gang, self.arena.label(buf), idx);
-        }
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_reserved_store(addr, lane, gang, self.arena.label(buf), idx);
-        }
-        self.arena.store(buf, idx, val);
-    }
-
-    /// Flush-time `atomicExch` in the leader phase (leader-only flag
-    /// publication). Like the scalar exchange it never reads.
-    fn emit_atomic_exch(
-        &mut self,
-        placed: &mut Vec<(u8, u64, Op)>,
-        lane: u64,
-        gang: u64,
-        buf: Buf,
-        idx: u32,
-        val: u32,
-    ) {
-        let addr = self.arena.addr(buf, idx);
-        placed.push((PH_LEADER, lane, Op::Atomic(addr)));
-        self.buffer_traffic[buf.id as usize][2] += 1;
-        if let Some(san) = self.san.as_deref_mut() {
-            san.on_atomic(addr, lane, gang, self.arena.label(buf), idx, false);
-        }
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_atomic(addr, lane, gang, self.arena.label(buf), idx);
-        }
-        self.arena.store(buf, idx, val);
-    }
-
-    /// Flush-time `atomicMin` in the leader phase: the warp's reduced
-    /// minimum, published once. Reads the old value (an uninitialized
-    /// word would corrupt the min), so it carries the poison check of
-    /// the scalar `atomicMin` it replaces.
-    fn emit_atomic_min(
-        &mut self,
-        placed: &mut Vec<(u8, u64, Op)>,
-        lane: u64,
-        gang: u64,
-        buf: Buf,
-        idx: u32,
-        val: u32,
-    ) {
-        let addr = self.arena.addr(buf, idx);
-        placed.push((PH_LEADER, lane, Op::Atomic(addr)));
-        self.buffer_traffic[buf.id as usize][2] += 1;
-        if let Some(san) = self.san.as_deref_mut() {
-            let poisoned = self.arena.poisoned_live(buf, idx);
-            san.on_atomic(addr, lane, gang, self.arena.label(buf), idx, poisoned);
-        }
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_atomic(addr, lane, gang, self.arena.label(buf), idx);
-        }
-        let old = self.arena.load(buf, idx);
-        if val < old {
-            self.arena.store(buf, idx, val);
-        }
     }
 }
 
@@ -1382,23 +1287,48 @@ mod tests {
             .any(|v| v.check == crate::san::SanCheck::GangChildDivergence));
     }
 
+    /// One run touching every hook of the access-event stream (loads,
+    /// stores, atomics, a flush emitter, a child launch, a barrier and
+    /// a host write) with the given consumers armed.
+    fn run_armed(san: bool, ir: bool) -> (crate::Counters, f64, Vec<u32>, Vec<u32>) {
+        let mut d = tiny();
+        if san {
+            d.arm_sanitizer(crate::san::SanConfig::default());
+        }
+        if ir {
+            d.arm_ir();
+        }
+        let a = d.alloc_upload("a", &[5; 64]);
+        let out = d.alloc("out", 64);
+        let acc = d.alloc_upload("acc", &[0, 0]);
+        d.launch("k", 64, move |lane| {
+            let i = lane.tid() as u32;
+            let v = lane.ld(a, i);
+            lane.st(out, i, v * 2);
+            lane.atomic_add(acc, 0, v);
+            lane.gang_add(acc, 1, 1);
+            if i == 0 {
+                lane.launch_child("c", 4, move |cl| {
+                    cl.atomic_min(acc, 0, cl.tid() as u32);
+                });
+            }
+        });
+        d.charge_barrier();
+        d.write_word(acc, 1, 7);
+        let mut s = d.wave_session("w");
+        s.wave(64, 1, move |lane| {
+            let i = lane.tid() as u32;
+            let v = lane.ld_volatile(out, i);
+            lane.atomic_exch(out, i, v + 1);
+        });
+        (d.counters().clone(), d.elapsed_ms(), d.read(out).to_vec(), d.read(acc).to_vec())
+    }
+
     #[test]
     fn sanitizer_disarmed_device_is_bit_identical() {
-        let run = |armed: bool| {
-            let mut d = tiny();
-            if armed {
-                d.arm_sanitizer(crate::san::SanConfig::default());
-            }
-            let a = d.alloc_upload("a", &[5; 64]);
-            let out = d.alloc("out", 64);
-            d.launch("k", 64, |lane| {
-                let i = lane.tid() as u32;
-                let v = lane.ld(a, i);
-                lane.st(out, i, v * 2);
-            });
-            (d.counters().clone(), d.elapsed_ms(), d.read(out).to_vec())
-        };
-        assert_eq!(run(false), run(true), "arming must not perturb timing or results");
+        let base = run_armed(false, false);
+        assert_eq!(base, run_armed(true, false), "arming must not perturb timing or results");
+        assert_eq!(base, run_armed(true, true), "arming both must not perturb either");
     }
 
     #[test]
@@ -1542,21 +1472,13 @@ mod tests {
 
     #[test]
     fn ir_armed_device_is_bit_identical() {
-        let run = |armed: bool| {
-            let mut d = tiny();
-            if armed {
-                d.arm_ir();
-            }
-            let a = d.alloc_upload("a", &[5; 64]);
-            let out = d.alloc("out", 64);
-            d.launch("k", 64, |lane| {
-                let i = lane.tid() as u32;
-                let v = lane.ld(a, i);
-                lane.st(out, i, v * 2);
-            });
-            (d.counters().clone(), d.elapsed_ms(), d.read(out).to_vec())
-        };
-        assert_eq!(run(false), run(true), "arming the IR must not perturb timing or results");
+        let base = run_armed(false, false);
+        assert_eq!(
+            base,
+            run_armed(false, true),
+            "arming the IR must not perturb timing or results"
+        );
+        assert_eq!(base, run_armed(true, true), "arming both must not perturb either");
     }
 
     #[test]

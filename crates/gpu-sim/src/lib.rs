@@ -44,16 +44,20 @@
 //! the device clock advances by their makespan, so a concurrent
 //! scheduler overlaps queries without threads — deterministically.
 //!
-//! An opt-in memory-model sanitizer ([`Device::arm_sanitizer`], the
-//! [`san`] module) checks every lane access against the snapshot /
-//! volatile / atomic discipline the kernels rely on — races, reads of
-//! never-written words, gang divergence — reporting typed
-//! [`SanViolation`]s; disarmed, it costs one branch per access.
+//! Every lane access, child launch, wave boundary, barrier and host
+//! write can be fed to one opt-in access-event stream (the [`access`]
+//! module), which owns the wave and race-window bookkeeping for its
+//! two consumers; disarmed, it costs one branch per access:
 //!
-//! An opt-in access-IR recorder ([`Device::arm_ir`], the [`ir`]
-//! module) retains a bounded per-race-window access summary that the
-//! `rdbs-statan` crate verifies *statically* — its verdicts quantify
-//! over every lane interleaving, not the one that happened to run.
+//! * the memory-model sanitizer ([`Device::arm_sanitizer`], the
+//!   [`san`] module) checks the interleaving that ran against the
+//!   snapshot / volatile / atomic discipline the kernels rely on —
+//!   races, reads of never-written words, gang divergence — reporting
+//!   typed [`SanViolation`]s;
+//! * the access-IR recorder ([`Device::arm_ir`], the [`ir`] module)
+//!   retains a bounded per-race-window access summary that the
+//!   `rdbs-statan` crate verifies *statically* — its verdicts quantify
+//!   over every lane interleaving, not the one that happened to run.
 //!
 //! Everything is deterministic: the same kernel sequence yields the
 //! same counters, byte-for-byte.
@@ -77,6 +81,7 @@
 
 #![deny(missing_docs)]
 
+pub mod access;
 pub mod buffer;
 pub mod cache;
 pub mod cost;
@@ -91,11 +96,12 @@ pub mod sched;
 pub mod stream;
 pub mod trace;
 
+pub use access::{AccessKind, Accessor};
 pub use buffer::{Buf, HostStaging};
 pub use counters::{Counters, KernelReport};
 pub use device::{Device, DeviceConfig};
 pub use fault::{FaultEvent, FaultModel, FaultPlan, FaultSpec, FaultTarget};
-pub use ir::{AccessIr, Hazard, HazardKind, IrAccessor, KernelStats, QueueDecl, QueueUsage};
+pub use ir::{AccessIr, Hazard, HazardKind, KernelStats, QueueDecl, QueueUsage};
 pub use kernel::{GangScatter, Lane, ScatterTarget, WaveSession};
 pub use san::{AccessProfile, SanCheck, SanConfig, SanViolation, WordStats};
 pub use sched::SchedPlan;

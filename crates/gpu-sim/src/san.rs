@@ -17,18 +17,16 @@
 //! * only atomics may write a location that another lane touches in
 //!   the same race window.
 //!
-//! A *race window* is one synchronous kernel launch, or — for task
-//! waves of a persistent kernel — everything since the last grid-wide
-//! barrier ([`crate::Device::charge_barrier`]): §4.3's asynchronous
-//! phase 1 runs many waves with no barrier, so conflicts across those
-//! waves are real on hardware and are flagged here.
-//!
-//! Armed via [`crate::Device::arm_sanitizer`]; when disarmed (the
-//! default) every hook is a single `Option` branch and the device
-//! behaves bit-identically to an uninstrumented build.
+//! Race windows (one synchronous kernel, or the task waves between
+//! two grid-wide barriers) are the access-event stream's
+//! ([`crate::access`]); conflicts across the waves of one window are
+//! real on hardware and are flagged here. The sanitizer is one of the
+//! stream's two consumers, armed via [`crate::Device::arm_sanitizer`].
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+
+use crate::access::{AccessEvent, AccessKind, Accessor, WaveCtx};
 
 /// Which checks run. All on by default.
 #[derive(Clone, Copy, Debug)]
@@ -127,24 +125,6 @@ impl fmt::Display for SanViolation {
             self.stream,
             self.detail
         )
-    }
-}
-
-/// One recorded access for conflict matching.
-#[derive(Clone, Copy, Debug)]
-struct Accessor {
-    wave: u64,
-    lane: u64,
-    gang: u64,
-    kernel: &'static str,
-}
-
-impl Accessor {
-    /// Two accesses conflict only between distinct logical threads:
-    /// the same lane index in a *different* wave is a different thread
-    /// (waves of a session overlap on hardware).
-    fn same_thread(&self, other: &Accessor) -> bool {
-        self.wave == other.wave && self.lane == other.lane
     }
 }
 
@@ -326,21 +306,13 @@ impl AccessProfile {
     }
 }
 
-/// Armed sanitizer state, owned by the device.
+/// Armed sanitizer state: the stream's race-judging consumer.
 pub struct SanState {
     config: SanConfig,
     violations: Vec<SanViolation>,
     total: u64,
     seen: HashSet<(SanCheck, &'static str, u64)>,
-    access: HashMap<u64, AccessRec>,
-    /// Child-launch counts of the current wave: (gang item, lane) →
-    /// launches. BTreeMap so the end-of-wave sweep is deterministic.
-    gang_launches: BTreeMap<(u64, u64), u64>,
-    wave: u64,
-    kernel: &'static str,
-    snapshot: bool,
-    /// Command stream the current wave was issued on (attribution).
-    stream: u32,
+    window: HashMap<u64, AccessRec>,
     /// Lifetime access profile (never window-cleared).
     profile: AccessProfile,
 }
@@ -353,19 +325,9 @@ impl SanState {
             violations: Vec::new(),
             total: 0,
             seen: HashSet::new(),
-            access: HashMap::new(),
-            gang_launches: BTreeMap::new(),
-            wave: 0,
-            kernel: "",
-            snapshot: false,
-            stream: 0,
+            window: HashMap::new(),
             profile: AccessProfile::default(),
         }
-    }
-
-    /// Tag subsequent waves with the command stream they run on.
-    pub(crate) fn set_stream(&mut self, stream: u32) {
-        self.stream = stream;
     }
 
     /// The configuration this state was armed with.
@@ -388,20 +350,20 @@ impl SanState {
         &self.profile
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Report `check` at the word `at` names, with `second` the access
+    /// that completed the conflict.
     fn record(
         &mut self,
+        ctx: &WaveCtx,
         check: SanCheck,
-        buffer: &'static str,
-        index: u32,
-        addr: u64,
+        at: &AccessEvent,
         first: &Accessor,
         second: &Accessor,
         detail: String,
     ) {
         // One report per (check, site, address): kernels revisit the
         // same conflict every wave and would otherwise flood the log.
-        if !self.seen.insert((check, second.kernel, addr)) {
+        if !self.seen.insert((check, second.kernel, at.addr)) {
             return;
         }
         self.total += 1;
@@ -409,58 +371,40 @@ impl SanState {
             self.violations.push(SanViolation {
                 check,
                 kernel: second.kernel,
-                buffer,
-                index,
-                addr,
+                buffer: at.buffer,
+                index: at.index,
+                addr: at.addr,
                 lanes: [first.lane, second.lane],
                 waves: [first.wave, second.wave],
-                stream: self.stream,
+                stream: ctx.stream,
                 detail,
             });
         }
     }
 
-    /// A new wave (one `execute` call) begins. Synchronous (snapshot)
-    /// kernels are their own race window.
-    pub(crate) fn begin_wave(&mut self, kernel: &'static str, snapshot: bool) {
-        self.wave += 1;
-        self.kernel = kernel;
-        self.snapshot = snapshot;
-        self.profile.begin_wave(kernel, self.wave);
-        if snapshot {
-            self.access.clear();
-        }
-        self.gang_launches.clear();
+    pub(crate) fn begin_wave(&mut self, ctx: &WaveCtx) {
+        self.profile.begin_wave(ctx.kernel, ctx.wave);
     }
 
-    /// The wave finished: run gang agreement checks and close the
-    /// window if it was a synchronous kernel.
-    pub(crate) fn end_wave(&mut self) {
+    /// Gang agreement on child launches.
+    pub(crate) fn end_wave(&mut self, ctx: &WaveCtx) {
         if self.config.gangs {
-            self.check_gang_launches();
-        }
-        if self.snapshot {
-            self.access.clear();
+            self.check_gang_launches(ctx);
         }
     }
 
-    /// A grid-wide barrier: every pre-barrier access is ordered before
-    /// every post-barrier one, so the window closes.
-    pub(crate) fn on_barrier(&mut self) {
-        self.access.clear();
+    pub(crate) fn close_window(&mut self) {
+        self.window.clear();
     }
 
-    fn check_gang_launches(&mut self) {
-        let per_gang: Vec<(u64, Vec<(u64, u64)>)> = {
-            let mut v: Vec<(u64, Vec<(u64, u64)>)> = Vec::new();
-            for (&(gang, lane), &count) in &self.gang_launches {
-                match v.last_mut() {
-                    Some((g, lanes)) if *g == gang => lanes.push((lane, count)),
-                    _ => v.push((gang, vec![(lane, count)])),
-                }
+    fn check_gang_launches(&mut self, ctx: &WaveCtx) {
+        let mut per_gang: Vec<(u64, Vec<(u64, u64)>)> = Vec::new();
+        for (&(gang, lane), &count) in &ctx.children {
+            match per_gang.last_mut() {
+                Some((g, lanes)) if *g == gang => lanes.push((lane, count)),
+                _ => per_gang.push((gang, vec![(lane, count)])),
             }
-            v
-        };
+        }
         for (gang, lanes) in per_gang {
             // A single launching lane (gang-leader pattern) and
             // uniform counts across launching lanes are both fine;
@@ -469,76 +413,85 @@ impl SanState {
             if lanes.len() < 2 {
                 continue;
             }
-            let first_count = lanes[0].1;
+            let (first_lane, first_count) = lanes[0];
             if let Some(&(lane, count)) = lanes.iter().find(|&&(_, c)| c != first_count) {
-                let a = Accessor { wave: self.wave, lane: lanes[0].0, gang, kernel: self.kernel };
-                let b = Accessor { wave: self.wave, lane, gang, kernel: self.kernel };
+                let at = AccessEvent {
+                    buffer: "(child launches)",
+                    addr: gang,
+                    ..AccessEvent::child_launch(lane, gang)
+                };
                 self.record(
+                    ctx,
                     SanCheck::GangChildDivergence,
-                    "(child launches)",
-                    0,
-                    gang,
-                    &a,
-                    &b,
+                    &at,
+                    &ctx.accessor(first_lane, gang),
+                    &ctx.accessor(lane, gang),
                     format!(
-                        "gang {gang}: lane {} launched {first_count} child kernel(s), \
-                         lane {lane} launched {count}",
-                        lanes[0].0
+                        "gang {gang}: lane {first_lane} launched {first_count} child kernel(s), \
+                         lane {lane} launched {count}"
                     ),
                 );
             }
         }
     }
 
-    fn here(&self, lane: u64, gang: u64) -> Accessor {
-        Accessor { wave: self.wave, lane, gang, kernel: self.kernel }
-    }
-
-    fn uninit(&mut self, buffer: &'static str, index: u32, addr: u64, who: Accessor, how: &str) {
-        self.record(
-            SanCheck::UninitRead,
-            buffer,
-            index,
-            addr,
-            &who,
-            &who,
-            format!("{how} of a word never written since alloc/recycle"),
-        );
-    }
-
-    /// Hook: plain (snapshot-semantics) load.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_plain_load(
-        &mut self,
-        addr: u64,
-        lane: u64,
-        gang: u64,
-        buffer: &'static str,
-        index: u32,
-        poisoned: bool,
-    ) {
-        self.profile.stats(buffer, index, self.wave, lane).loads += 1;
-        let who = self.here(lane, gang);
-        if self.config.uninit && poisoned {
-            self.uninit(buffer, index, addr, who, "plain load");
+    /// Judge one event of the stream.
+    pub(crate) fn access(&mut self, ctx: &WaveCtx, who: Accessor, ev: &AccessEvent) {
+        use AccessKind::*;
+        let how = match ev.kind {
+            ChildLaunch => return, // tallied by the stream, judged at wave end
+            PlainLoad => "plain load",
+            VolatileLoad => "volatile load",
+            Atomic => "atomic read-modify-write",
+            Store | ReservedStore => "store",
+        };
+        let stats = self.profile.stats(ev.buffer, ev.index, who.wave, who.lane);
+        match ev.kind {
+            PlainLoad | VolatileLoad => stats.loads += 1,
+            Atomic => stats.atomics += 1,
+            _ => stats.stores += 1,
         }
-        if !self.config.races || self.snapshot {
+        if self.config.uninit && ev.poisoned {
+            self.record(
+                ctx,
+                SanCheck::UninitRead,
+                ev,
+                &who,
+                &who,
+                format!("{how} of a word never written since alloc/recycle"),
+            );
+        }
+        if !self.config.races {
+            return;
+        }
+        match ev.kind {
             // In a synchronous kernel a plain load reads the kernel-
             // entry snapshot: deterministic regardless of what other
             // lanes write, so it participates in no race.
-            return;
+            PlainLoad if !ctx.snapshot => self.plain_load(ctx, who, ev),
+            Store => self.store(ctx, who, ev),
+            Atomic | ReservedStore => self.atomic(ctx, who, ev),
+            // Volatile loads are sanctioned to race with writes
+            // (aligned words cannot tear).
+            PlainLoad | VolatileLoad | ChildLaunch => {}
         }
-        let rec = self.access.entry(addr).or_default();
+    }
+
+    /// A plain load under live-memory execution.
+    fn plain_load(&mut self, ctx: &WaveCtx, who: Accessor, ev: &AccessEvent) {
+        let rec = self.window.entry(ev.addr).or_default();
         let conflict = rec
             .plain_store
             .filter(|w| !w.same_thread(&who))
             .or_else(|| rec.atomic.filter(|w| !w.same_thread(&who)));
+        if rec.plain_load.is_none() {
+            rec.plain_load = Some(who);
+        }
         if let Some(writer) = conflict {
             self.record(
+                ctx,
                 SanCheck::SnapshotVisibility,
-                buffer,
-                index,
-                addr,
+                ev,
                 &writer,
                 &who,
                 format!(
@@ -548,45 +501,10 @@ impl SanState {
                 ),
             );
         }
-        let rec = self.access.entry(addr).or_default();
-        if rec.plain_load.is_none() {
-            rec.plain_load = Some(who);
-        }
     }
 
-    /// Hook: volatile load. Sanctioned to race with writes (aligned
-    /// words cannot tear), so only the uninit check applies.
-    pub(crate) fn on_volatile_load(
-        &mut self,
-        addr: u64,
-        lane: u64,
-        gang: u64,
-        buffer: &'static str,
-        index: u32,
-        poisoned: bool,
-    ) {
-        self.profile.stats(buffer, index, self.wave, lane).loads += 1;
-        if self.config.uninit && poisoned {
-            let who = self.here(lane, gang);
-            self.uninit(buffer, index, addr, who, "volatile load");
-        }
-    }
-
-    /// Hook: plain store.
-    pub(crate) fn on_store(
-        &mut self,
-        addr: u64,
-        lane: u64,
-        gang: u64,
-        buffer: &'static str,
-        index: u32,
-    ) {
-        self.profile.stats(buffer, index, self.wave, lane).stores += 1;
-        if !self.config.races {
-            return;
-        }
-        let who = self.here(lane, gang);
-        let rec = self.access.entry(addr).or_default();
+    fn store(&mut self, ctx: &WaveCtx, who: Accessor, ev: &AccessEvent) {
+        let rec = self.window.entry(ev.addr).or_default();
         let prior_store = rec.plain_store.filter(|w| !w.same_thread(&who));
         let prior_atomic = rec.atomic.filter(|w| !w.same_thread(&who));
         let prior_load = rec.plain_load.filter(|w| !w.same_thread(&who));
@@ -617,13 +535,12 @@ impl SanState {
                     ),
                 )
             };
-            self.record(check, buffer, index, addr, &other, &who, detail);
+            self.record(ctx, check, ev, &other, &who, detail);
         } else if let Some(other) = prior_atomic {
             self.record(
+                ctx,
                 SanCheck::MixedAtomicRace,
-                buffer,
-                index,
-                addr,
+                ev,
                 &other,
                 &who,
                 format!(
@@ -633,10 +550,9 @@ impl SanState {
             );
         } else if let Some(other) = prior_load {
             self.record(
+                ctx,
                 SanCheck::SnapshotVisibility,
-                buffer,
-                index,
-                addr,
+                ev,
                 &other,
                 &who,
                 format!(
@@ -648,122 +564,50 @@ impl SanState {
         }
     }
 
-    /// Hook: atomic read-modify-write.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_atomic(
-        &mut self,
-        addr: u64,
-        lane: u64,
-        gang: u64,
-        buffer: &'static str,
-        index: u32,
-        poisoned: bool,
-    ) {
-        self.profile.stats(buffer, index, self.wave, lane).atomics += 1;
-        let who = self.here(lane, gang);
-        if self.config.uninit && poisoned {
-            self.uninit(buffer, index, addr, who, "atomic read-modify-write");
-        }
-        if !self.config.races {
-            return;
-        }
-        let rec = self.access.entry(addr).or_default();
+    /// An atomic, or a reserved store — a plain store into a slot this
+    /// lane owns via a gang-collective tail reservation
+    /// ([`crate::Lane::gang_push`]). The reservation hands each lane a
+    /// distinct slot, so the store carries the same publish discipline
+    /// as the `atomicExch` it replaces: both register in the atomic
+    /// slot of the access record (clean against each other, red against
+    /// plain stores and live plain loads).
+    fn atomic(&mut self, ctx: &WaveCtx, who: Accessor, ev: &AccessEvent) {
+        let rec = self.window.entry(ev.addr).or_default();
         let prior_store = rec.plain_store.filter(|w| !w.same_thread(&who));
         let prior_load = rec.plain_load.filter(|w| !w.same_thread(&who));
         if rec.atomic.is_none() {
             rec.atomic = Some(who);
         }
+        let (what, result) = if ev.kind == AccessKind::ReservedStore {
+            ("reserved store", "reserved store")
+        } else {
+            ("atomic", "atomic's result")
+        };
         if let Some(other) = prior_store {
             self.record(
+                ctx,
                 SanCheck::MixedAtomicRace,
-                buffer,
-                index,
-                addr,
+                ev,
                 &other,
                 &who,
                 format!(
-                    "atomic by lane {} races lane {}'s plain store on the same word",
+                    "{what} by lane {} races lane {}'s plain store on the same word",
                     who.lane, other.lane
                 ),
             );
         } else if let Some(other) = prior_load {
             self.record(
+                ctx,
                 SanCheck::SnapshotVisibility,
-                buffer,
-                index,
-                addr,
+                ev,
                 &other,
                 &who,
                 format!(
-                    "lane {}'s earlier plain load may or may not observe this atomic's \
-                     result (use ld_volatile or order with a barrier)",
+                    "lane {}'s earlier plain load may or may not observe this {result} \
+                     (use ld_volatile or order with a barrier)",
                     other.lane
                 ),
             );
-        }
-    }
-
-    /// Hook: reserved store — a plain store into a slot this lane owns
-    /// via a gang-collective tail reservation ([`crate::Lane::gang_push`]).
-    /// The reservation hands each lane a distinct slot, so the store
-    /// carries the same publish discipline as the `atomicExch` it
-    /// replaces: it registers in the atomic slot of the access record
-    /// (clean against other reserved stores and against atomics, red
-    /// against plain stores and live plain loads), and like an
-    /// exchange it never reads, so no uninit check applies.
-    pub(crate) fn on_reserved_store(
-        &mut self,
-        addr: u64,
-        lane: u64,
-        gang: u64,
-        buffer: &'static str,
-        index: u32,
-    ) {
-        self.profile.stats(buffer, index, self.wave, lane).stores += 1;
-        if !self.config.races {
-            return;
-        }
-        let who = self.here(lane, gang);
-        let rec = self.access.entry(addr).or_default();
-        let prior_store = rec.plain_store.filter(|w| !w.same_thread(&who));
-        let prior_load = rec.plain_load.filter(|w| !w.same_thread(&who));
-        if rec.atomic.is_none() {
-            rec.atomic = Some(who);
-        }
-        if let Some(other) = prior_store {
-            self.record(
-                SanCheck::MixedAtomicRace,
-                buffer,
-                index,
-                addr,
-                &other,
-                &who,
-                format!(
-                    "reserved store by lane {} races lane {}'s plain store on the same word",
-                    who.lane, other.lane
-                ),
-            );
-        } else if let Some(other) = prior_load {
-            self.record(
-                SanCheck::SnapshotVisibility,
-                buffer,
-                index,
-                addr,
-                &other,
-                &who,
-                format!(
-                    "lane {}'s earlier plain load may or may not observe this reserved \
-                     store (use ld_volatile or order with a barrier)",
-                    other.lane
-                ),
-            );
-        }
-    }
-
-    /// Hook: one child-kernel launch by `lane` of gang item `gang`.
-    pub(crate) fn on_child_launch(&mut self, lane: u64, gang: u64) {
-        if self.config.gangs {
-            *self.gang_launches.entry((gang, lane)).or_insert(0) += 1;
         }
     }
 }
@@ -771,20 +615,29 @@ impl SanState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::{AccessKind::*, AccessStream};
 
-    fn state() -> SanState {
-        SanState::new(SanConfig::default())
+    fn armed(config: SanConfig) -> AccessStream {
+        AccessStream { san: Some(SanState::new(config)), ..AccessStream::default() }
+    }
+
+    fn state() -> AccessStream {
+        armed(SanConfig::default())
+    }
+
+    fn san(s: &AccessStream) -> &SanState {
+        s.san.as_ref().expect("armed")
     }
 
     #[test]
     fn write_write_race_between_lanes() {
         let mut s = state();
-        s.begin_wave("k", false);
-        s.on_store(64, 0, 0, "buf", 0);
-        s.on_store(64, 5, 5, "buf", 0);
+        s.begin_wave("k", false, 0);
+        s.at(Store, 64, 0, 0, "buf", 0, false);
+        s.at(Store, 64, 5, 5, "buf", 0, false);
         s.end_wave();
-        assert_eq!(s.total(), 1);
-        let v = &s.violations()[0];
+        assert_eq!(san(&s).total(), 1);
+        let v = &san(&s).violations()[0];
         assert_eq!(v.check, SanCheck::WriteWriteRace);
         assert_eq!(v.lanes, [0, 5]);
         assert_eq!(v.buffer, "buf");
@@ -793,157 +646,153 @@ mod tests {
     #[test]
     fn same_lane_never_conflicts_with_itself() {
         let mut s = state();
-        s.begin_wave("k", false);
-        s.on_store(64, 3, 3, "buf", 0);
-        s.on_store(64, 3, 3, "buf", 0);
-        s.on_plain_load(64, 3, 3, "buf", 0, false);
+        s.begin_wave("k", false, 0);
+        s.at(Store, 64, 3, 3, "buf", 0, false);
+        s.at(Store, 64, 3, 3, "buf", 0, false);
+        s.at(PlainLoad, 64, 3, 3, "buf", 0, false);
         s.end_wave();
-        assert_eq!(s.total(), 0);
+        assert_eq!(san(&s).total(), 0);
     }
 
     #[test]
     fn atomics_on_both_sides_are_clean() {
         let mut s = state();
-        s.begin_wave("k", false);
-        s.on_atomic(64, 0, 0, "buf", 0, false);
-        s.on_atomic(64, 1, 1, "buf", 0, false);
+        s.begin_wave("k", false, 0);
+        s.at(Atomic, 64, 0, 0, "buf", 0, false);
+        s.at(Atomic, 64, 1, 1, "buf", 0, false);
         s.end_wave();
-        assert_eq!(s.total(), 0);
+        assert_eq!(san(&s).total(), 0);
     }
 
     #[test]
     fn volatile_load_may_race_with_atomic() {
         let mut s = state();
-        s.begin_wave("k", false);
-        s.on_atomic(64, 0, 0, "buf", 0, false);
-        s.on_volatile_load(64, 1, 1, "buf", 0, false);
+        s.begin_wave("k", false, 0);
+        s.at(Atomic, 64, 0, 0, "buf", 0, false);
+        s.at(VolatileLoad, 64, 1, 1, "buf", 0, false);
         s.end_wave();
-        assert_eq!(s.total(), 0);
+        assert_eq!(san(&s).total(), 0);
     }
 
     #[test]
     fn plain_load_vs_atomic_is_snapshot_visibility_in_live_window() {
         let mut s = state();
-        s.begin_wave("k", false);
-        s.on_plain_load(64, 1, 1, "buf", 0, false);
-        s.on_atomic(64, 0, 0, "buf", 0, false);
+        s.begin_wave("k", false, 0);
+        s.at(PlainLoad, 64, 1, 1, "buf", 0, false);
+        s.at(Atomic, 64, 0, 0, "buf", 0, false);
         s.end_wave();
-        assert_eq!(s.total(), 1);
-        assert_eq!(s.violations()[0].check, SanCheck::SnapshotVisibility);
+        assert_eq!(san(&s).total(), 1);
+        assert_eq!(san(&s).violations()[0].check, SanCheck::SnapshotVisibility);
     }
 
     #[test]
     fn plain_load_in_snapshot_kernel_is_safe() {
         let mut s = state();
-        s.begin_wave("k", true);
-        s.on_plain_load(64, 1, 1, "buf", 0, false);
-        s.on_atomic(64, 0, 0, "buf", 0, false);
+        s.begin_wave("k", true, 0);
+        s.at(PlainLoad, 64, 1, 1, "buf", 0, false);
+        s.at(Atomic, 64, 0, 0, "buf", 0, false);
         s.end_wave();
-        assert_eq!(s.total(), 0);
+        assert_eq!(san(&s).total(), 0);
     }
 
     #[test]
     fn window_spans_waves_until_barrier() {
         let mut s = state();
-        s.begin_wave("w1", false);
-        s.on_store(64, 0, 0, "buf", 0);
+        s.begin_wave("w1", false, 0);
+        s.at(Store, 64, 0, 0, "buf", 0, false);
         s.end_wave();
-        s.begin_wave("w2", false);
+        s.begin_wave("w2", false, 0);
         // Same lane index, later wave: a different logical thread.
-        s.on_store(64, 0, 0, "buf", 0);
+        s.at(Store, 64, 0, 0, "buf", 0, false);
         s.end_wave();
-        assert_eq!(s.total(), 1);
-        assert_eq!(s.violations()[0].waves, [1, 2]);
+        assert_eq!(san(&s).total(), 1);
+        assert_eq!(san(&s).violations()[0].waves, [1, 2]);
 
         let mut s = state();
-        s.begin_wave("w1", false);
-        s.on_store(64, 0, 0, "buf", 0);
+        s.begin_wave("w1", false, 0);
+        s.at(Store, 64, 0, 0, "buf", 0, false);
         s.end_wave();
-        s.on_barrier();
-        s.begin_wave("w2", false);
-        s.on_store(64, 0, 0, "buf", 0);
+        s.barrier();
+        s.begin_wave("w2", false, 0);
+        s.at(Store, 64, 0, 0, "buf", 0, false);
         s.end_wave();
-        assert_eq!(s.total(), 0, "barrier closes the window");
+        assert_eq!(san(&s).total(), 0, "barrier closes the window");
     }
 
     #[test]
     fn uninit_read_reported_once_per_site() {
         let mut s = state();
-        s.begin_wave("k", false);
-        s.on_plain_load(64, 0, 0, "scratch", 3, true);
-        s.on_plain_load(64, 1, 1, "scratch", 3, true);
+        s.begin_wave("k", false, 0);
+        s.at(PlainLoad, 64, 0, 0, "scratch", 3, true);
+        s.at(PlainLoad, 64, 1, 1, "scratch", 3, true);
         s.end_wave();
-        assert_eq!(s.total(), 1);
-        assert_eq!(s.violations()[0].check, SanCheck::UninitRead);
-        assert_eq!(s.violations()[0].index, 3);
+        assert_eq!(san(&s).total(), 1);
+        assert_eq!(san(&s).violations()[0].check, SanCheck::UninitRead);
+        assert_eq!(san(&s).violations()[0].index, 3);
     }
 
     #[test]
     fn gang_divergent_child_launches_flagged() {
         let mut s = state();
-        s.begin_wave("k", false);
-        s.on_child_launch(0, 7); // gang 7, lane 0: one launch
-        s.on_child_launch(1, 7); // gang 7, lane 1: two launches
-        s.on_child_launch(1, 7);
-        s.on_child_launch(8, 9); // gang 9: single leader — fine
+        s.begin_wave("k", false, 0);
+        s.access(AccessEvent::child_launch(0, 7)); // gang 7, lane 0: one launch
+        s.access(AccessEvent::child_launch(1, 7)); // gang 7, lane 1: two launches
+        s.access(AccessEvent::child_launch(1, 7));
+        s.access(AccessEvent::child_launch(8, 9)); // gang 9: single leader — fine
         s.end_wave();
-        assert_eq!(s.total(), 1);
-        assert_eq!(s.violations()[0].check, SanCheck::GangChildDivergence);
+        assert_eq!(san(&s).total(), 1);
+        assert_eq!(san(&s).violations()[0].check, SanCheck::GangChildDivergence);
     }
 
     #[test]
     fn gang_overlap_classified() {
         let mut s = state();
-        s.begin_wave("k", false);
-        s.on_store(64, 4, 2, "out", 0); // gang 2, lane 4
-        s.on_store(64, 5, 2, "out", 0); // gang 2, lane 5 — same gang
+        s.begin_wave("k", false, 0);
+        s.at(Store, 64, 4, 2, "out", 0, false); // gang 2, lane 4
+        s.at(Store, 64, 5, 2, "out", 0, false); // gang 2, lane 5 — same gang
         s.end_wave();
-        assert_eq!(s.violations()[0].check, SanCheck::GangOverlap);
+        assert_eq!(san(&s).violations()[0].check, SanCheck::GangOverlap);
     }
 
     #[test]
     fn disabled_checks_stay_silent() {
-        let mut s = SanState::new(SanConfig {
-            races: false,
-            uninit: false,
-            gangs: false,
-            max_violations: 10,
-        });
-        s.begin_wave("k", false);
-        s.on_store(64, 0, 0, "buf", 0);
-        s.on_store(64, 1, 1, "buf", 0);
-        s.on_plain_load(64, 2, 2, "buf", 0, true);
+        let mut s =
+            armed(SanConfig { races: false, uninit: false, gangs: false, max_violations: 10 });
+        s.begin_wave("k", false, 0);
+        s.at(Store, 64, 0, 0, "buf", 0, false);
+        s.at(Store, 64, 1, 1, "buf", 0, false);
+        s.at(PlainLoad, 64, 2, 2, "buf", 0, true);
         s.end_wave();
-        assert_eq!(s.total(), 0);
+        assert_eq!(san(&s).total(), 0);
     }
 
     #[test]
     fn cap_counts_but_stops_storing() {
-        let mut s = SanState::new(SanConfig { max_violations: 1, ..SanConfig::default() });
-        s.begin_wave("k", false);
-        s.on_store(64, 0, 0, "buf", 0);
-        s.on_store(64, 1, 1, "buf", 0);
-        s.on_store(128, 0, 0, "buf", 1);
-        s.on_store(128, 1, 1, "buf", 1);
+        let mut s = armed(SanConfig { max_violations: 1, ..SanConfig::default() });
+        s.begin_wave("k", false, 0);
+        s.at(Store, 64, 0, 0, "buf", 0, false);
+        s.at(Store, 64, 1, 1, "buf", 0, false);
+        s.at(Store, 128, 0, 0, "buf", 1, false);
+        s.at(Store, 128, 1, 1, "buf", 1, false);
         s.end_wave();
-        assert_eq!(s.total(), 2);
-        assert_eq!(s.violations().len(), 1);
+        assert_eq!(san(&s).total(), 2);
+        assert_eq!(san(&s).violations().len(), 1);
     }
 
     #[test]
     fn profile_accumulates_across_windows() {
         let mut s = state();
-        s.begin_wave("relax", false);
-        s.on_atomic(64, 0, 0, "dist", 0, false);
-        s.on_atomic(64, 1, 1, "dist", 0, false);
-        s.on_plain_load(68, 0, 0, "dist", 1, false);
+        s.begin_wave("relax", false, 0);
+        s.at(Atomic, 64, 0, 0, "dist", 0, false);
+        s.at(Atomic, 64, 1, 1, "dist", 0, false);
+        s.at(PlainLoad, 68, 0, 0, "dist", 1, false);
         s.end_wave();
-        s.on_barrier(); // closes the race window, NOT the profile
-        s.begin_wave("relax", false);
-        s.on_atomic(64, 2, 2, "dist", 0, false);
-        s.on_store(128, 0, 0, "pending", 0);
+        s.barrier(); // closes the race window, NOT the profile
+        s.begin_wave("relax", false, 0);
+        s.at(Atomic, 64, 2, 2, "dist", 0, false);
+        s.at(Store, 128, 0, 0, "pending", 0, false);
         s.end_wave();
-        let p = s.profile();
+        let p = san(&s).profile();
         assert_eq!(p.waves(), 2);
         assert_eq!(p.kernel_window("relax"), Some((1, 2)));
         let hot = p.word("dist", 0).unwrap();
@@ -957,18 +806,18 @@ mod tests {
     #[test]
     fn profile_ranks_contended_and_overlap_sites() {
         let mut s = state();
-        s.begin_wave("k", false);
+        s.begin_wave("k", false, 0);
         // dist[0]: 3 atomics from distinct lanes (hot + contended).
         for lane in 0..3 {
-            s.on_atomic(64, lane, lane, "dist", 0, false);
+            s.at(Atomic, 64, lane, lane, "dist", 0, false);
         }
         // dist[1]: 1 atomic + 1 plain load (overlap, less hot).
-        s.on_atomic(68, 0, 0, "dist", 1, false);
-        s.on_plain_load(68, 1, 1, "dist", 1, false);
+        s.at(Atomic, 68, 0, 0, "dist", 1, false);
+        s.at(PlainLoad, 68, 1, 1, "dist", 1, false);
         // pending[0]: plain traffic only — in neither ranking.
-        s.on_store(128, 0, 0, "pending", 0);
+        s.at(Store, 128, 0, 0, "pending", 0, false);
         s.end_wave();
-        let p = s.profile();
+        let p = san(&s).profile();
         let contended = p.hottest_contended(10);
         assert_eq!(contended[0].0, "dist");
         assert_eq!(contended[0].1, 0);
@@ -982,13 +831,13 @@ mod tests {
     fn profile_ranking_is_deterministic() {
         let build = || {
             let mut s = state();
-            s.begin_wave("k", false);
+            s.begin_wave("k", false, 0);
             for w in 0..8u32 {
-                s.on_atomic(64 + u64::from(w) * 4, 0, 0, "dist", w, false);
-                s.on_atomic(64 + u64::from(w) * 4, 1, 1, "dist", w, false);
+                s.at(Atomic, 64 + u64::from(w) * 4, 0, 0, "dist", w, false);
+                s.at(Atomic, 64 + u64::from(w) * 4, 1, 1, "dist", w, false);
             }
             s.end_wave();
-            s.profile().hottest_contended(8)
+            san(&s).profile().hottest_contended(8)
         };
         assert_eq!(build(), build());
     }
@@ -996,11 +845,11 @@ mod tests {
     #[test]
     fn display_carries_site_lane_and_address() {
         let mut s = state();
-        s.begin_wave("kern", false);
-        s.on_store(0x2040, 3, 3, "dist", 16);
-        s.on_store(0x2040, 9, 9, "dist", 16);
+        s.begin_wave("kern", false, 0);
+        s.at(Store, 0x2040, 3, 3, "dist", 16, false);
+        s.at(Store, 0x2040, 9, 9, "dist", 16, false);
         s.end_wave();
-        let msg = s.violations()[0].to_string();
+        let msg = san(&s).violations()[0].to_string();
         assert!(msg.contains("kern") && msg.contains("dist[16]"), "{msg}");
         assert!(msg.contains("0x2040") && msg.contains("3/9"), "{msg}");
     }

@@ -378,10 +378,10 @@ pub fn verify(ir: &AccessIr) -> Analysis {
 mod tests {
     use super::*;
     use rdbs_gpu_sim::ir::BufferTraffic;
-    use rdbs_gpu_sim::{IrAccessor, KernelStats, QueueDecl, QueueUsage};
+    use rdbs_gpu_sim::{Accessor, KernelStats, QueueDecl, QueueUsage};
 
-    fn acc(kernel: &'static str, wave: u64, lane: u64) -> IrAccessor {
-        IrAccessor { wave, lane, gang: lane, kernel }
+    fn acc(kernel: &'static str, wave: u64, lane: u64) -> Accessor {
+        Accessor { wave, lane, gang: lane, kernel }
     }
 
     fn hazard(kind: HazardKind, a: &'static str, b: &'static str) -> Hazard {
