@@ -19,7 +19,7 @@ pub use frontier::{FrontierKind, ScatterMode};
 pub use multi::{
     multi_gpu_sssp, multi_gpu_sssp_faulted, MultiGpuConfig, MultiGpuRun, MultiGpuState,
 };
-pub use rdbs::{rdbs_on, GpuBucketTrace, MonotonicityViolation, RdbsConfig, RdbsRun, RdbsScratch};
+pub use rdbs::{GpuBucketTrace, MonotonicityViolation, RdbsConfig, RdbsRun, RdbsScratch};
 
 use crate::stats::SsspResult;
 use crate::{default_delta, Csr, VertexId};

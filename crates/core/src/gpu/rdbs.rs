@@ -214,7 +214,7 @@ pub struct RdbsRun {
     pub audit: Vec<MonotonicityViolation>,
 }
 
-/// Per-query device scratch for [`rdbs_on`]: the frontier (workload
+/// Per-query device scratch for an RDBS run: the frontier (workload
 /// lists, membership, pending marks — whatever the layout needs) and
 /// the phase-3 scan cells. Allocated once and recycled across queries
 /// of the same graph by the resident service ([`crate::service`]) via
@@ -250,7 +250,10 @@ impl RdbsScratch {
 /// Run RDBS (or any ablation) on `device`.
 ///
 /// The one-shot entry point: uploads the graph, allocates fresh
-/// scratch and a fresh Δ controller, and delegates to [`rdbs_on`].
+/// scratch and a fresh Δ controller, and drives the bucket-stepping
+/// state machine through every bucket. The resident service
+/// ([`crate::service`]) drives the same machine against recycled
+/// buffers.
 ///
 /// If `config.pro` the graph must already be preprocessed (weight
 /// sorted, heavy offsets attached — see `rdbs_graph::reorder::pro`);
@@ -265,44 +268,23 @@ pub fn rdbs(device: &mut Device, graph: &Csr, source: VertexId, config: RdbsConf
     let mut controller = DeltaController::new(width0).with_target_parallelism(lanes);
     let gb = GraphBuffers::upload(device, graph);
     let scratch = RdbsScratch::new(device, n, config);
-    match rdbs_on(device, gb, &scratch, graph, source, config, &mut controller) {
-        Ok(run) => run,
-        // Fault-free runs cannot overflow (capacity-n lists with
-        // pending dedup; the MLMQ spills instead); under an armed
-        // fault plan the panic is a *detection* the recovery ladder
-        // ([`crate::recover`]) catches.
-        Err(e) => panic!("{e}"),
-    }
+    let mut driver =
+        RdbsDriver::start(device, gb, &scratch, graph, source, config, &mut controller);
+    // Fault-free runs cannot overflow (capacity-n lists with pending
+    // dedup; the MLMQ spills instead); under an armed fault plan the
+    // panic is a *detection* the recovery ladder ([`crate::recover`])
+    // catches.
+    while !driver.step(device, graph, &mut controller).unwrap_or_else(|e| panic!("{e}")) {}
+    driver.finish(device)
 }
 
-/// Run RDBS against caller-resident device state: graph arrays +
-/// distance buffer (`gb`), recyclable scratch, and a Δ controller
-/// whose current width seeds Δ₀ (warm-started across queries by the
-/// resident service). Resets `scratch` and the distance vector
-/// itself; `Err` on a detected device-queue overflow (the queues'
-/// sticky cells are checked every bucket).
-#[allow(clippy::too_many_arguments)]
-pub fn rdbs_on(
-    device: &mut Device,
-    gb: GraphBuffers,
-    scratch: &RdbsScratch,
-    graph: &Csr,
-    source: VertexId,
-    config: RdbsConfig,
-    controller: &mut DeltaController,
-) -> Result<RdbsRun, QueueOverflow> {
-    let mut driver = RdbsDriver::start(device, gb, scratch, graph, source, config, controller);
-    while !driver.step(device, graph, controller)? {}
-    Ok(driver.finish(device))
-}
-
-/// A resumable RDBS run: the loop of [`rdbs_on`] reified as a state
-/// machine so a concurrent scheduler can interleave many queries on
-/// one device at bucket granularity. `start` seeds the query,
+/// A resumable RDBS run: the bucket loop reified as a state machine,
+/// so the service's scheduler can interleave many queries on one
+/// device at bucket granularity. `start` seeds the query,
 /// [`RdbsDriver::step`] processes one bucket (phase 1 → fused phases
 /// 2&3 → Δ readjust), and [`RdbsDriver::finish`] downloads the result.
-/// Driving `start → step* → finish` back-to-back is bit-identical to
-/// [`rdbs_on`] — the scheduler only changes *whose* buckets run
+/// Driving `start → step* → finish` back-to-back is the one-shot
+/// [`rdbs()`] — the scheduler only changes *whose* buckets run
 /// between a query's own.
 pub(crate) struct RdbsDriver {
     gb: GraphBuffers,
@@ -328,7 +310,7 @@ pub(crate) struct RdbsDriver {
 
 impl RdbsDriver {
     /// Validate, reset the scratch + distance buffer, and seed the
-    /// source — everything [`rdbs_on`] does before its bucket loop.
+    /// source — everything a run does before its bucket loop.
     pub(crate) fn start(
         device: &mut Device,
         gb: GraphBuffers,
@@ -1078,8 +1060,9 @@ mod tests {
         // beyond two entries must take the spill path into the (fully
         // provisioned) deferred level.
         m.levels[0][0].capacity = 2;
-        let run = rdbs_on(&mut d, gb, &scratch, &g, 0, cfg, &mut controller)
-            .expect("spills are not overflow");
+        let mut driver = RdbsDriver::start(&mut d, gb, &scratch, &g, 0, cfg, &mut controller);
+        while !driver.step(&mut d, &g, &mut controller).expect("spills are not overflow") {}
+        let run = driver.finish(&mut d);
         check_against(&oracle.dist, &run.result.dist).unwrap();
     }
 

@@ -315,50 +315,20 @@ pub fn run_service_recovered(
     config: ServiceConfig,
     fault: Option<FaultSpec>,
 ) -> RecoveredRun {
-    let device_config = config.device.clone();
-    let delta0 = config.delta0;
-    let mut service = SsspService::new(graph, config);
-    let n = graph.num_vertices() as u32;
-    if n > 1 {
-        let _ = service.query((source + 1) % n); // warm the pooled buffers
-    }
-    if let Some(spec) = fault {
-        service.arm_faults(spec);
-    }
-    let attempt = catch_unwind(AssertUnwindSafe(|| service.try_query(source)));
-    let (injections, fault_events) = service.disarm_faults().unwrap_or((0, Vec::new()));
-    let (attempt, panic) = match attempt {
-        Ok(Ok(result)) => (Some((result, service.last_audit_hits())), None),
-        Ok(Err(e)) => (None, Some(e.to_string())), // typed detection
-        Err(payload) => (None, Some(panic_text(payload.as_ref()))),
-    };
-    let rerun = move |graph: &Csr, source: VertexId| {
-        let mut fresh = Device::new(device_config.clone());
-        let cfg = RdbsConfig { delta0, ..RdbsConfig::sync_delta() };
-        run_gpu_on(&mut fresh, graph, source, Variant::Rdbs(cfg)).result
-    };
-    finish(
-        graph,
-        source,
-        fault,
-        injections,
-        fault_events,
-        attempt,
-        panic,
-        &rerun,
-        RecoveryBudget::default(),
-    )
+    run_service_attempt(graph, source, config, fault, |service| {
+        service.try_query(source).map_err(|e| e.to_string())
+    })
 }
 
-/// Run the resident service's *concurrent* scheduler under `fault`,
-/// audit, and recover. The scored query flies as the middle element of
-/// a three-source batch spread across `config.streams` command
-/// streams, after a fault-free warm-up — so injections land while
-/// other queries are in flight on sibling streams and the detection +
-/// ladder guarantee must hold with interleaved bucket execution. The
-/// batch itself never errors (overflow escalates on device, then
-/// degrades to a host oracle), so detection here rests on the
-/// monotonicity audit (maxed across every in-flight query of the
+/// Run the resident service's scheduler on several streams under
+/// `fault`, audit, and recover. The scored query flies as the middle
+/// element of a three-source batch spread across `config.streams`
+/// command streams, after a fault-free warm-up — so injections land
+/// while other queries are in flight on sibling streams and the
+/// detection + ladder guarantee must hold with interleaved bucket
+/// execution. The batch itself never errors (overflow escalates on
+/// device, then degrades to a host oracle), so detection here rests on
+/// the monotonicity audit (maxed across every in-flight query of the
 /// batch), the final O(V+E) audit of the scored element, and panic
 /// capture.
 pub fn run_service_concurrent_recovered(
@@ -367,43 +337,11 @@ pub fn run_service_concurrent_recovered(
     config: ServiceConfig,
     fault: Option<FaultSpec>,
 ) -> RecoveredRun {
-    let device_config = config.device.clone();
-    let delta0 = config.delta0;
-    let mut service = SsspService::new(graph, config);
     let n = graph.num_vertices() as u32;
-    let wrap = |k: u32| (source + k) % n;
-    if n > 1 {
-        let _ = service.query(wrap(1)); // warm the pooled buffers
-    }
-    if let Some(spec) = fault {
-        service.arm_faults(spec);
-    }
-    let batch = [wrap(2), source, wrap(3)];
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        let mut results = service.batch(&batch);
-        results.swap_remove(1)
-    }));
-    let (injections, fault_events) = service.disarm_faults().unwrap_or((0, Vec::new()));
-    let (attempt, panic) = match attempt {
-        Ok(result) => (Some((result, service.last_audit_hits())), None),
-        Err(payload) => (None, Some(panic_text(payload.as_ref()))),
-    };
-    let rerun = move |graph: &Csr, source: VertexId| {
-        let mut fresh = Device::new(device_config.clone());
-        let cfg = RdbsConfig { delta0, ..RdbsConfig::sync_delta() };
-        run_gpu_on(&mut fresh, graph, source, Variant::Rdbs(cfg)).result
-    };
-    finish(
-        graph,
-        source,
-        fault,
-        injections,
-        fault_events,
-        attempt,
-        panic,
-        &rerun,
-        RecoveryBudget::default(),
-    )
+    let batch = [(source + 2) % n, source, (source + 3) % n];
+    run_service_attempt(graph, source, config, fault, |service| {
+        Ok(service.batch(&batch).swap_remove(1))
+    })
 }
 
 /// Run the service's open-loop *traffic tier* under `fault`, audit,
@@ -424,17 +362,8 @@ pub fn run_service_traffic_recovered(
     use crate::service::cache::CacheConfig;
     use crate::service::traffic::{ArrivalProcess, Outcome, Query, SourceMix, TrafficConfig};
 
-    let device_config = config.device.clone();
-    let delta0 = config.delta0;
-    let mut service = SsspService::new(graph, config);
     let n = graph.num_vertices() as u32;
     let wrap = |k: u32| (source + k) % n;
-    if n > 1 {
-        let _ = service.query(wrap(1)); // warm the pooled buffers
-    }
-    if let Some(spec) = fault {
-        service.arm_faults(spec);
-    }
     let generous = 1e12;
     let queries = [
         Query { source, arrival_ms: 0.0, deadline_ms: generous },
@@ -458,17 +387,44 @@ pub fn run_service_traffic_recovered(
         cache: Some(CacheConfig::default()),
         approx_on_shed: false,
     };
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
+    run_service_attempt(graph, source, config, fault, |service| {
         let report = service.serve_queries(&queries, &cfg);
         let replayed = report.outcomes.into_iter().nth(3).expect("four outcomes");
         match replayed {
-            Outcome::Exact { result, .. } => result,
+            Outcome::Exact { result, .. } => Ok(result),
             other => panic!("the late repeat must be answered exactly, got {other:?}"),
         }
-    }));
+    })
+}
+
+/// The shared skeleton of the service entries: build the service, warm
+/// its pooled buffers with one fault-free query, arm `fault`, run
+/// `attempt` under `catch_unwind`, disarm, and hand the outcome to the
+/// ladder. `attempt` returns the scored answer, or `Err` with the text
+/// of a typed detection; a panic counts as a detection too. Rung 2 is
+/// a fault-free synchronous rerun on a fresh device.
+fn run_service_attempt(
+    graph: &Csr,
+    source: VertexId,
+    config: ServiceConfig,
+    fault: Option<FaultSpec>,
+    attempt: impl FnOnce(&mut SsspService) -> Result<SsspResult, String>,
+) -> RecoveredRun {
+    let device_config = config.device.clone();
+    let delta0 = config.delta0;
+    let mut service = SsspService::new(graph, config);
+    let n = graph.num_vertices() as u32;
+    if n > 1 {
+        let _ = service.query((source + 1) % n); // warm the pooled buffers
+    }
+    if let Some(spec) = fault {
+        service.arm_faults(spec);
+    }
+    let attempt = catch_unwind(AssertUnwindSafe(|| attempt(&mut service)));
     let (injections, fault_events) = service.disarm_faults().unwrap_or((0, Vec::new()));
     let (attempt, panic) = match attempt {
-        Ok(result) => (Some((result, service.last_audit_hits())), None),
+        Ok(Ok(result)) => (Some((result, service.last_audit_hits())), None),
+        Ok(Err(detected)) => (None, Some(detected)),
         Err(payload) => (None, Some(panic_text(payload.as_ref()))),
     };
     let rerun = move |graph: &Csr, source: VertexId| {

@@ -24,34 +24,49 @@
 //! * with PRO, the heavy-edge offsets are refreshed on-device at
 //!   query start — a finished run leaves them at per-vertex widths.
 //!
-//! [`SsspService::batch`] answers a slice of sources and accounts the
-//! amortization in [`BatchStats`]. With [`ServiceConfig::streams`] > 1
-//! the single-GPU backend spreads a batch across simulated command
-//! streams ([`rdbs_gpu_sim::StreamSet`]): every in-flight query owns a
-//! pool-leased *lane* (distance vector, queue set, Δ controller, and
-//! its own heavy-offset copy under PRO) while sharing the single
-//! resident graph upload, and the scheduler steps whichever stream is
-//! least busy — at bucket granularity for RDBS variants — so answers
-//! stay bit-identical to a sequential batch.
+//! On the single-GPU backend every query is dispatched, escalated and
+//! timed by one scheduler ([`traffic`]), which runs queries on
+//! simulated command streams ([`rdbs_gpu_sim::StreamSet`]): every
+//! in-flight query owns a pool-leased *lane* (distance vector, queue
+//! set, Δ controller, and its own heavy-offset copy under PRO) while
+//! sharing the single resident graph upload, and the scheduler steps
+//! the stream with the earliest wall frontier — at bucket granularity
+//! for RDBS variants — so answers are bit-identical for any stream
+//! count. Its three callers differ only in their inputs:
+//!
+//! * [`SsspService::query`] / [`SsspService::try_query`]: one query on
+//!   one stream (lane 0, which keeps the uploaded heavy offsets);
+//! * [`SsspService::batch`]: the closed-loop case — every query
+//!   arrives at t = 0 with an infinite deadline and no cache, on up to
+//!   [`ServiceConfig::streams`] streams, so admission always admits
+//!   and EDF serves in arrival order. It accounts the amortization in
+//!   [`BatchStats`];
+//! * [`SsspService::serve_queries`]: open-loop arrivals with deadlines,
+//!   admission control and the answer cache.
+//!
+//! The multi-GPU backend has no shared simulated clock and runs each
+//! query directly.
 //!
 //! A query whose device attempt reports a [`QueueOverflow`] is
 //! replayed **on the device** with its queue set re-acquired from the
-//! pool one size class larger ([`BatchStats::escalations`]); only past
-//! the escalation ceiling — one class above the vertex count, which no
-//! fault-free frontier exceeds — is it re-answered by host Dijkstra
-//! and counted in [`BatchStats::fallbacks`]. The service never returns
-//! a silently truncated answer.
+//! pool one size class larger ([`BatchStats::escalations`]). Past the
+//! escalation ceiling — one class above the vertex count, which no
+//! fault-free frontier exceeds — the scheduler hands the query back to
+//! its caller: `batch` and `serve_queries` re-answer it by host
+//! Dijkstra (counted in [`BatchStats::fallbacks`]), `try_query`
+//! returns [`ServiceError::Overflow`]. The service never returns a
+//! silently truncated answer.
 
 pub mod cache;
 pub mod pool;
 pub mod traffic;
 
 use crate::adaptive_delta::DeltaController;
-use crate::gpu::bl::{bl_on, BlScratch};
+use crate::gpu::bl::BlScratch;
 use crate::gpu::buffers::{DeviceQueue, GraphArrays, GraphBuffers, QueueOverflow};
 use crate::gpu::frontier::{AnyFrontier, FrontierKind, MlmqFrontier, ScatterMode, WorkloadQueues};
 use crate::gpu::multi::{MultiGpuConfig, MultiGpuState};
-use crate::gpu::rdbs::{self, rdbs_on, RdbsDriver, RdbsScratch};
+use crate::gpu::rdbs::{self, RdbsDriver, RdbsScratch};
 use crate::gpu::{RdbsConfig, Variant};
 use crate::seq::dijkstra;
 use crate::stats::{BatchStats, SsspResult};
@@ -59,10 +74,11 @@ use crate::workload::WorkloadClass;
 use crate::{default_delta, Csr, VertexId, Weight, INF};
 use pool::BufferPool;
 use rdbs_gpu_sim::{
-    Buf, Device, DeviceConfig, FaultEvent, FaultPlan, FaultSpec, SanConfig, SanViolation, StreamSet,
+    Buf, Device, DeviceConfig, FaultEvent, FaultPlan, FaultSpec, SanConfig, SanViolation,
 };
 use rdbs_graph::reorder::Permutation;
 use std::time::Instant;
+use traffic::{Admission, Outcome, Query};
 
 /// Which execution engine answers the service's queries.
 #[derive(Clone, Copy, Debug)]
@@ -206,11 +222,10 @@ enum Scratch {
     Bl(BlScratch),
 }
 
-/// One query's exclusive device lease: everything the concurrent
-/// scheduler must keep disjoint between in-flight queries. Lane 0
-/// always exists and serves sequential queries; extra lanes are
-/// created on demand by concurrent batches and recycled with the
-/// graph generation.
+/// One query's exclusive device lease: everything the scheduler must
+/// keep disjoint between in-flight queries. Lane `i` serves stream
+/// `i`; lane 0 always exists, extra lanes are created on demand and
+/// recycled with the graph generation.
 struct QueryLane {
     dist: Buf,
     scratch: Scratch,
@@ -218,8 +233,7 @@ struct QueryLane {
     /// Private heavy-offset buffer (PRO variants, lanes ≥ 1 only).
     /// The uploaded [`GraphArrays::heavy`] is per-query *mutable*
     /// state — runs re-split it as buckets settle — so concurrent
-    /// lanes each own a copy; lane 0 keeps the uploaded buffer,
-    /// preserving the sequential path bit-for-bit.
+    /// lanes each own a copy; lane 0 keeps the uploaded buffer.
     heavy: Option<Buf>,
     /// Whether the lane's heavy offsets must be recomputed on-device
     /// before its next run (fresh lanes, and every lane after a run
@@ -365,36 +379,24 @@ impl SsspService {
 
     /// Answer one query against the resident graph; `Err` on an
     /// out-of-range source or a device-queue overflow that escalation
-    /// could not recover.
+    /// could not recover. On the single-GPU backend this is the
+    /// scheduler's one-stream, one-query case.
     pub fn try_query(&mut self, source: VertexId) -> Result<SsspResult, ServiceError> {
-        self.try_query_from(source, None)
-    }
-
-    /// Core of [`SsspService::try_query`]. `sojourn_origin_ns` is the
-    /// simulated wall time the query is considered to have *arrived*
-    /// — its own start when `None` (standalone queries), the batch
-    /// start for sequential batches, so the sojourn sample includes
-    /// time spent queued behind earlier queries of the same batch.
-    fn try_query_from(
-        &mut self,
-        source: VertexId,
-        sojourn_origin_ns: Option<f64>,
-    ) -> Result<SsspResult, ServiceError> {
-        let n = self.graph.num_vertices() as u32;
-        if source >= n {
-            return Err(ServiceError::SourceOutOfRange { source, n });
+        self.check_source(source)?;
+        if let State::Multi(st) = &mut self.state {
+            // The shards have no shared clock to schedule on: run the
+            // query directly.
+            self.last_audit_hits = 0;
+            let started = Instant::now();
+            let result = st.try_run(source)?.result;
+            self.note_query(started);
+            return Ok(result);
         }
-        let started = Instant::now();
-        let sim_before = self.device_elapsed_ns();
-        let result = self.query_escalating(source, 0)?;
-        if let Some(before) = sim_before {
-            let after = self.device_elapsed_ns().expect("backend unchanged");
-            self.stats.per_query_sim_ms.push((after - before) / 1e6);
-            let origin = sojourn_origin_ns.unwrap_or(before);
-            self.stats.per_query_sojourn_ms.push((after - origin) / 1e6);
+        let schedule = self.schedule(&[Query::closed_loop(source)], 1, Admission::CLOSED_LOOP);
+        if let Some(hit) = schedule.ceiling.into_iter().next() {
+            return Err(hit.overflow.into());
         }
-        self.note_query(started);
-        Ok(result)
+        Ok(closed_loop_results(schedule.outcomes).pop().flatten().expect("one query answered"))
     }
 
     /// Like [`SsspService::try_query`] but panicking on error — the
@@ -404,40 +406,36 @@ impl SsspService {
         self.try_query(source).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Answer many sources against one upload. With
-    /// [`ServiceConfig::streams`] > 1 on the single-GPU backend the
-    /// batch is spread across command streams, one leased lane per
+    /// Answer many sources against one upload. On the single-GPU
+    /// backend the batch is the scheduler's closed-loop case: every
+    /// query arrives at once, spread across up to
+    /// [`ServiceConfig::streams`] command streams, one leased lane per
     /// in-flight query. A query whose device attempt overflows is
     /// replayed with an escalated queue set; only past the escalation
     /// ceiling is it re-answered by host Dijkstra (counted in
     /// [`BatchStats::fallbacks`]). An out-of-range source panics — the
     /// batch's shape is the caller's contract.
     pub fn batch(&mut self, sources: &[VertexId]) -> Vec<SsspResult> {
+        for &source in sources {
+            self.check_source(source).unwrap_or_else(|e| panic!("{e}"));
+        }
         let sim_before = self.device_elapsed_ns();
-        let concurrent =
-            self.config.streams > 1 && sources.len() > 1 && matches!(self.state, State::Gpu(_));
-        let results = if concurrent {
-            self.batch_concurrent(sources)
-        } else {
+        let results = if matches!(self.state, State::Multi(_)) {
             sources
                 .iter()
-                .map(|&source| match self.try_query_from(source, sim_before) {
-                    Ok(result) => result,
-                    Err(e @ ServiceError::SourceOutOfRange { .. }) => panic!("{e}"),
-                    Err(ServiceError::Overflow(_)) => {
-                        let result = self.host_fallback(source);
-                        // The fallback's sojourn ends where its device
-                        // attempt died (the host recompute runs off the
-                        // simulated timeline) — recorded so the wall
-                        // series keeps covering every query.
-                        if let (Some(origin), Some(after)) = (sim_before, self.device_elapsed_ns())
-                        {
-                            self.stats.per_query_sojourn_ms.push((after - origin) / 1e6);
-                        }
-                        result
-                    }
+                .map(|&source| {
+                    self.try_query(source).unwrap_or_else(|_| self.host_fallback(source))
                 })
                 .collect()
+        } else {
+            let queries: Vec<Query> = sources.iter().map(|&s| Query::closed_loop(s)).collect();
+            let streams = self.config.streams.min(sources.len()).max(1);
+            let schedule = self.schedule(&queries, streams, Admission::CLOSED_LOOP);
+            let mut results = closed_loop_results(schedule.outcomes);
+            for hit in schedule.ceiling {
+                results[hit.qi] = Some(self.host_fallback(sources[hit.qi]));
+            }
+            results.into_iter().map(|r| r.expect("every query answered")).collect()
         };
         if let Some(before) = sim_before {
             let after = self.device_elapsed_ns().expect("backend unchanged");
@@ -602,6 +600,15 @@ impl SsspService {
         self.last_audit_hits
     }
 
+    /// `Err` unless `source` is a vertex of the resident graph.
+    fn check_source(&self, source: VertexId) -> Result<(), ServiceError> {
+        let n = self.graph.num_vertices() as u32;
+        if source >= n {
+            return Err(ServiceError::SourceOutOfRange { source, n });
+        }
+        Ok(())
+    }
+
     /// Simulated device clock, ns (single-GPU backend only).
     fn device_elapsed_ns(&self) -> Option<f64> {
         match &self.state {
@@ -610,96 +617,7 @@ impl SsspService {
         }
     }
 
-    /// Run the device attempt, escalating the lane's queue set one
-    /// size class per overflow; `Err` only past the ceiling.
-    fn query_escalating(
-        &mut self,
-        source: VertexId,
-        lane: usize,
-    ) -> Result<SsspResult, ServiceError> {
-        loop {
-            let overflow = match self.device_query(source, lane) {
-                Ok(result) => return Ok(result),
-                Err(e) => e,
-            };
-            let escalated = match &mut self.state {
-                State::Gpu(st) => escalate_queues(
-                    &mut self.pool,
-                    &mut st.device,
-                    &mut st.lanes[lane].scratch,
-                    self.graph.num_vertices(),
-                ),
-                State::Multi(_) => false,
-            };
-            if escalated {
-                self.stats.escalations += 1;
-            } else {
-                return Err(overflow.into());
-            }
-        }
-    }
-
-    /// The device attempt proper: reset recycled buffers, run on the
-    /// given lane, map distances back to the caller's labelling.
-    fn device_query(
-        &mut self,
-        source: VertexId,
-        lane_idx: usize,
-    ) -> Result<SsspResult, QueueOverflow> {
-        self.last_audit_hits = 0;
-        match &mut self.state {
-            State::Gpu(st) => {
-                let st = &mut **st;
-                let mapped = st.perm.as_ref().map_or(source, |p| p.new_id(source));
-                let lane = &mut st.lanes[lane_idx];
-                let gb = lane_buffers(st.arrays, lane);
-                match (&st.variant, &lane.scratch) {
-                    (Variant::Baseline, Scratch::Bl(scratch)) => {
-                        Ok(bl_on(&mut st.device, gb, scratch, &self.graph, mapped))
-                    }
-                    (Variant::Rdbs(cfg), Scratch::Rdbs(scratch)) => {
-                        if cfg.pro && lane.heavy_dirty {
-                            // A finished (or aborted) run leaves the
-                            // heavy offsets at whatever widths its
-                            // buckets last touched, per vertex; re-arm
-                            // the controller first so they are
-                            // recomputed device-side at the width the
-                            // run will actually start at.
-                            lane.controller.start_run();
-                            rdbs::refresh_heavy_offsets(
-                                &mut st.device,
-                                gb,
-                                lane.controller.delta(),
-                            );
-                        }
-                        if cfg.pro {
-                            lane.heavy_dirty = true; // the run re-splits them
-                        }
-                        let run = rdbs_on(
-                            &mut st.device,
-                            gb,
-                            scratch,
-                            &self.graph,
-                            mapped,
-                            *cfg,
-                            &mut lane.controller,
-                        )?;
-                        self.last_audit_hits = run.audit.len();
-                        let mut result = run.result;
-                        if let Some(perm) = &st.perm {
-                            result.dist = perm.unapply_to_array(&result.dist);
-                            result.source = source;
-                        }
-                        Ok(result)
-                    }
-                    _ => unreachable!("scratch kind always matches the variant"),
-                }
-            }
-            State::Multi(st) => Ok(st.try_run(source)?.result),
-        }
-    }
-
-    /// Grow the lane set to `count` leases (concurrent batches only).
+    /// Grow the lane set to `count` leases, one per scheduler stream.
     /// Extra lanes pull their buffers from the pool, so a later
     /// generation recycles them like any per-query buffer.
     fn ensure_lanes(&mut self, count: usize) {
@@ -726,190 +644,6 @@ impl SsspService {
                 .map(|_| self.pool.acquire(&mut st.device, "heavy_offsets", n as usize));
             st.lanes.push(QueryLane { dist, scratch, controller, heavy, heavy_dirty: true });
         }
-    }
-
-    /// Spread a batch across the device's command streams: every busy
-    /// stream holds one in-flight query on its own lane, the scheduler
-    /// steps whichever stream is least loaded (bucket granularity for
-    /// RDBS variants), and an overflowed query escalates and replays
-    /// on its stream without disturbing the rest.
-    fn batch_concurrent(&mut self, sources: &[VertexId]) -> Vec<SsspResult> {
-        let n = self.graph.num_vertices() as u32;
-        if let Some(&bad) = sources.iter().find(|&&s| s >= n) {
-            let e = ServiceError::SourceOutOfRange { source: bad, n };
-            panic!("{e}");
-        }
-        let streams = self.config.streams.min(sources.len());
-        self.ensure_lanes(streams);
-        self.last_audit_hits = 0;
-
-        let mut results: Vec<Option<SsspResult>> = vec![None; sources.len()];
-        // Queries that overflowed past the escalation ceiling — graded
-        // by the host oracle once the scheduler's borrows are done.
-        let mut ceiling_hits: Vec<usize> = Vec::new();
-        // Per-query (dispatch, completion) *wall* times for the
-        // overlap sweep. Wall coordinates (`StreamSet::wall_ns`) are
-        // comparable across streams; per-stream busy clocks are not —
-        // a stream that sat idle while others worked would appear to
-        // dispatch "in the past" and overcount concurrency.
-        let mut intervals: Vec<(f64, f64)> = Vec::new();
-
-        {
-            let State::Gpu(st) = &mut self.state else {
-                unreachable!("batch() gates concurrency on the single-GPU backend")
-            };
-            let GpuState { device, variant, perm, arrays, lanes } = &mut **st;
-            let lanes = &mut lanes[..streams];
-            let graph = &self.graph;
-            let mut set = StreamSet::new(device, streams);
-            match *variant {
-                Variant::Rdbs(cfg) => {
-                    struct Inflight {
-                        qi: usize,
-                        driver: RdbsDriver,
-                        started: Instant,
-                        dispatched_wall: f64,
-                    }
-                    let mut running: Vec<Option<Inflight>> = Vec::new();
-                    running.resize_with(streams, || None);
-                    let mut next = 0usize;
-                    loop {
-                        // Least-busy stream that can make progress:
-                        // running streams step one bucket, idle ones
-                        // dispatch the next source.
-                        let mut pick: Option<(usize, f64)> = None;
-                        for (s, slot) in running.iter().enumerate() {
-                            if slot.is_none() && next >= sources.len() {
-                                continue;
-                            }
-                            let busy = set.busy_ns(s as u32);
-                            if pick.is_none_or(|(_, best)| busy < best) {
-                                pick = Some((s, busy));
-                            }
-                        }
-                        let Some((s, _)) = pick else { break };
-                        let sid = s as u32;
-                        let lane = &mut lanes[s];
-                        if running[s].is_none() {
-                            let qi = next;
-                            next += 1;
-                            let source = sources[qi];
-                            let mapped = perm.as_ref().map_or(source, |p| p.new_id(source));
-                            let dispatched_wall = set.wall_ns(sid);
-                            let started = Instant::now();
-                            let driver = set.run(device, sid, |dev| {
-                                start_rdbs_driver(dev, lane, *arrays, graph, mapped, cfg)
-                            });
-                            running[s] = Some(Inflight { qi, driver, started, dispatched_wall });
-                            continue;
-                        }
-                        let inflight = running[s].as_mut().expect("picked a running stream");
-                        let stepped = set.run(device, sid, |dev| {
-                            inflight.driver.step(dev, graph, &mut lane.controller)
-                        });
-                        match stepped {
-                            Ok(false) => {}
-                            Ok(true) => {
-                                let done = running[s].take().expect("stream was running");
-                                let run = set.run(device, sid, |dev| done.driver.finish(dev));
-                                self.last_audit_hits = self.last_audit_hits.max(run.audit.len());
-                                let mut result = run.result;
-                                if let Some(perm) = perm.as_ref() {
-                                    result.dist = perm.unapply_to_array(&result.dist);
-                                    result.source = sources[done.qi];
-                                }
-                                let end = set.wall_ns(sid);
-                                intervals.push((done.dispatched_wall, end));
-                                self.stats
-                                    .per_query_sim_ms
-                                    .push((end - done.dispatched_wall) / 1e6);
-                                // Closed-loop batches: every query
-                                // "arrives" at batch start, so sojourn
-                                // runs from the set's base.
-                                self.stats.per_query_sojourn_ms.push((end - set.base_ns()) / 1e6);
-                                note_query_parts(
-                                    &mut self.stats,
-                                    &mut self.queries_on_graph,
-                                    self.uploads_per_graph,
-                                    done.started,
-                                );
-                                results[done.qi] = Some(result);
-                            }
-                            Err(_overflow) => {
-                                let escalated = escalate_queues(
-                                    &mut self.pool,
-                                    device,
-                                    &mut lane.scratch,
-                                    graph.num_vertices(),
-                                );
-                                if escalated {
-                                    self.stats.escalations += 1;
-                                    // Replay from the start on the same
-                                    // stream: the larger queue set is
-                                    // reset by the pool path, and the
-                                    // driver's scratch reset clears the
-                                    // stale pending marks.
-                                    let inflight = running[s].as_mut().expect("stream was running");
-                                    let source = sources[inflight.qi];
-                                    let mapped = perm.as_ref().map_or(source, |p| p.new_id(source));
-                                    inflight.driver = set.run(device, sid, |dev| {
-                                        start_rdbs_driver(dev, lane, *arrays, graph, mapped, cfg)
-                                    });
-                                } else {
-                                    let dead = running[s].take().expect("stream was running");
-                                    // The fallback's sojourn ends where
-                                    // its device attempt died; the host
-                                    // recompute happens off the
-                                    // simulated timeline. Recording it
-                                    // here keeps the wall series — and
-                                    // its tail percentiles — covering
-                                    // the slowest queries.
-                                    self.stats
-                                        .per_query_sojourn_ms
-                                        .push((set.wall_ns(sid) - set.base_ns()) / 1e6);
-                                    ceiling_hits.push(dead.qi);
-                                }
-                            }
-                        }
-                    }
-                }
-                Variant::Baseline => {
-                    // BL has no resumable driver: whole queries are the
-                    // scheduling grain, balanced onto the least-loaded
-                    // stream.
-                    for (qi, &source) in sources.iter().enumerate() {
-                        let sid = set.least_loaded();
-                        let lane = &mut lanes[sid as usize];
-                        let Scratch::Bl(scratch) = &lane.scratch else {
-                            unreachable!("scratch kind always matches the variant")
-                        };
-                        let gb = lane_buffers(*arrays, lane);
-                        let mapped = perm.as_ref().map_or(source, |p| p.new_id(source));
-                        let dispatched_wall = set.wall_ns(sid);
-                        let started = Instant::now();
-                        let result =
-                            set.run(device, sid, |dev| bl_on(dev, gb, scratch, graph, mapped));
-                        let end = set.wall_ns(sid);
-                        intervals.push((dispatched_wall, end));
-                        self.stats.per_query_sim_ms.push((end - dispatched_wall) / 1e6);
-                        self.stats.per_query_sojourn_ms.push((end - set.base_ns()) / 1e6);
-                        note_query_parts(
-                            &mut self.stats,
-                            &mut self.queries_on_graph,
-                            self.uploads_per_graph,
-                            started,
-                        );
-                        results[qi] = Some(result);
-                    }
-                }
-            }
-        }
-
-        for qi in ceiling_hits {
-            results[qi] = Some(self.host_fallback(sources[qi]));
-        }
-        self.stats.inflight_peak = self.stats.inflight_peak.max(peak_overlap(&intervals));
-        results.into_iter().map(|r| r.expect("every query answered")).collect()
     }
 
     /// Answer from the host oracle after a detected device error —
@@ -944,8 +678,8 @@ impl SsspService {
     }
 }
 
-/// Per-query bookkeeping, split out so the concurrent scheduler can
-/// call it while the service's state is mutably borrowed.
+/// Per-query bookkeeping, split out so the scheduler can call it
+/// while the service's state is mutably borrowed.
 fn note_query_parts(
     stats: &mut BatchStats,
     queries_on_graph: &mut u64,
@@ -961,6 +695,20 @@ fn note_query_parts(
     *queries_on_graph += 1;
 }
 
+/// The answers of a closed-loop schedule, in query order (`None` for
+/// its ceiling hits). Closed-loop queries are never shed, cached or
+/// approximated.
+fn closed_loop_results(outcomes: Vec<Option<Outcome>>) -> Vec<Option<SsspResult>> {
+    outcomes
+        .into_iter()
+        .map(|o| match o {
+            Some(Outcome::Exact { result, .. }) => Some(result),
+            None => None,
+            Some(other) => unreachable!("closed-loop queries are always admitted, got {other:?}"),
+        })
+        .collect()
+}
+
 /// Pair the resident arrays with a lane's distance buffer — and its
 /// private heavy-offset buffer when the lane owns one.
 fn lane_buffers(mut arrays: GraphArrays, lane: &QueryLane) -> GraphBuffers {
@@ -972,6 +720,10 @@ fn lane_buffers(mut arrays: GraphArrays, lane: &QueryLane) -> GraphBuffers {
 
 /// Dispatch one RDBS query on a lane: refresh its heavy offsets when
 /// stale, then seed a resumable driver. Runs inside the lane's stream.
+/// A finished (or aborted) run leaves the heavy offsets at whatever
+/// widths its buckets last touched, per vertex; the controller is
+/// re-armed first so they are recomputed device-side at the width the
+/// run will actually start at.
 fn start_rdbs_driver(
     device: &mut Device,
     lane: &mut QueryLane,
@@ -1603,6 +1355,9 @@ mod tests {
             stats.sojourn_percentile_ms(99.0).unwrap()
                 >= stats.sojourn_percentile_ms(50.0).unwrap()
         );
+        // Lane 1's dead queries overlapped lane 0's live one: the
+        // overlap sweep counts ceiling hits too.
+        assert_eq!(stats.inflight_peak, 2);
     }
 
     #[test]

@@ -1,23 +1,31 @@
-//! Open-loop traffic tier for [`SsspService`]: seeded arrival
-//! processes, deadline-aware dispatch, admission control with typed
-//! shedding, and the `(generation, source)` answer cache.
+//! The service's query scheduler and its open-loop traffic tier:
+//! seeded arrival processes, deadline-aware dispatch, admission control
+//! with typed shedding, and the `(generation, source)` answer cache.
 //!
-//! Closed-loop batches ([`SsspService::batch`]) measure *service*
-//! latency under a workload that politely waits for the previous
-//! answer. Real traffic does not wait: queries arrive on their own
-//! clock, queue behind busy streams, and experience *sojourn* time —
-//! queueing plus service — which is the number an SLO is written
-//! against. This module drives the service the open-loop way:
+//! Every single-GPU query goes through `SsspService::schedule`. A
+//! closed-loop batch ([`SsspService::batch`]) is the case where every
+//! query arrives at t = 0 with an infinite deadline and the cache off,
+//! and [`SsspService::try_query`] is the one-stream, one-query case;
+//! they measure *service* latency under a workload that politely waits
+//! for the previous answer. Real traffic does not wait: queries arrive
+//! on their own clock, queue behind busy streams, and experience
+//! *sojourn* time — queueing plus service — which is the number an SLO
+//! is written against. [`SsspService::serve_queries`] drives the same
+//! scheduler the open-loop way:
 //!
 //! * **Arrivals** are generated over simulated time by a seeded
 //!   Poisson or bursty two-state MMPP process
 //!   ([`generate_arrivals`]), with a uniform or hot-set source mix.
 //! * **Dispatch** runs on the shared wall timeline exposed by
-//!   [`rdbs_gpu_sim::StreamSet`] (`wall_ns`/`advance_to`): a free
-//!   stream waits idle until the next arrival instead of running work
-//!   "in the past", and among waiting queries the
-//!   earliest-deadline-first one is served — replacing the closed-loop
-//!   scheduler's pure least-busy rule.
+//!   [`rdbs_gpu_sim::StreamSet`] (`wall_ns`/`advance_to`): the stream
+//!   with the earliest wall frontier acts next, a free stream waits
+//!   idle until the next arrival instead of running work "in the
+//!   past", and among waiting queries the earliest-deadline-first one
+//!   is served (the earlier arrival on ties).
+//! * **Escalation** replays an overflowed RDBS query on its stream with
+//!   a queue set one size class larger; a query that overflows past
+//!   the ceiling is handed back to the caller, which answers it by
+//!   host Dijkstra (or, for `try_query`, reports the error).
 //! * **Admission control** predicts each query's completion from an
 //!   EWMA of observed service times; a query whose predicted sojourn
 //!   blows its SLO deadline is refused with a typed
@@ -37,10 +45,11 @@
 
 use super::cache::{AnswerCache, CacheConfig};
 use super::{
-    escalate_queues, lane_buffers, note_query_parts, peak_overlap, GpuState, Scratch, SsspService,
-    State,
+    escalate_queues, lane_buffers, note_query_parts, peak_overlap, start_rdbs_driver, GpuState,
+    Scratch, SsspService, State,
 };
 use crate::gpu::bl::bl_on;
+use crate::gpu::buffers::QueueOverflow;
 use crate::gpu::rdbs::RdbsDriver;
 use crate::gpu::Variant;
 use crate::stats::{percentile, SsspResult, UpdateStats};
@@ -383,6 +392,69 @@ impl Predictor {
     }
 }
 
+/// Admission knobs of one scheduler run.
+#[derive(Clone, Copy)]
+pub(super) struct Admission {
+    /// Safety factor on the predicted service time
+    /// ([`TrafficConfig::shed_margin`]).
+    shed_margin: f64,
+    /// Answer repeats from the answer cache and fill it.
+    cache: bool,
+    /// Serve a landmark upper bound instead of shedding.
+    approx_on_shed: bool,
+}
+
+impl Admission {
+    /// A closed-loop client: no cache and no approximate answers. Its
+    /// queries ([`Query::closed_loop`]) are never shed.
+    pub(super) const CLOSED_LOOP: Self =
+        Self { shed_margin: 1.0, cache: false, approx_on_shed: false };
+}
+
+impl Query {
+    /// A closed-loop query: it arrives when the scheduler starts and
+    /// has no deadline, so admission always admits it and EDF serves
+    /// such queries in arrival order.
+    pub(super) fn closed_loop(source: VertexId) -> Self {
+        Self { source, arrival_ms: 0.0, deadline_ms: f64::INFINITY }
+    }
+}
+
+/// A query whose device attempt overflowed past the escalation
+/// ceiling. The scheduler has recorded its sojourn; answering it (or
+/// reporting the error) is the caller's job.
+pub(super) struct CeilingHit {
+    pub(super) qi: usize,
+    /// Arrival → the device attempt's death on the wall timeline, ms.
+    pub(super) sojourn_ms: f64,
+    pub(super) overflow: QueueOverflow,
+}
+
+/// What one scheduler run did.
+pub(super) struct Schedule {
+    /// Per-query outcomes in arrival order; `None` exactly for the
+    /// ceiling hits.
+    pub(super) outcomes: Vec<Option<Outcome>>,
+    pub(super) ceiling: Vec<CeilingHit>,
+    /// Device clock when the run started, ns.
+    pub(super) base_ns: f64,
+    /// Wall time the run occupied, ms (idle waits included).
+    pub(super) makespan_ms: f64,
+}
+
+/// A dispatched query's bookkeeping while its stream runs it.
+struct Ticket {
+    qi: usize,
+    started: Instant,
+    dispatched_wall: f64,
+}
+
+/// An RDBS query in flight on a stream, stepped one bucket at a time.
+struct Inflight {
+    ticket: Ticket,
+    driver: RdbsDriver,
+}
+
 impl SsspService {
     /// Serve a seeded open-loop workload — see the module docs.
     /// Requires a single-GPU backend (the multi-GPU port has no shared
@@ -405,200 +477,232 @@ impl SsspService {
             queries.windows(2).all(|w| w[0].arrival_ms <= w[1].arrival_ms),
             "queries must arrive in order"
         );
-        let n = self.graph.num_vertices() as u32;
-        if let Some(bad) = queries.iter().find(|q| q.source >= n) {
-            panic!("source {} out of range for a {n}-vertex graph", bad.source);
+        for q in queries {
+            self.check_source(q.source).unwrap_or_else(|e| panic!("{e}"));
         }
-        let streams = self.config.streams.max(1);
-        self.ensure_lanes(streams);
-        self.last_audit_hits = 0;
         let generation = self.generation;
         if let (Some(sizing), slot @ None) = (&cfg.cache, &mut self.traffic_cache) {
             *slot = Some(AnswerCache::new(*sizing));
         }
-        let cache_enabled = cfg.cache.is_some();
         if let Some(c) = &mut self.traffic_cache {
             c.set_generation(generation);
         }
+        let admission = Admission {
+            shed_margin: cfg.shed_margin,
+            cache: cfg.cache.is_some(),
+            approx_on_shed: cfg.approx_on_shed,
+        };
+        let Schedule { mut outcomes, ceiling, base_ns, makespan_ms } =
+            self.schedule(queries, self.config.streams.max(1), admission);
 
+        for hit in ceiling {
+            let q = queries[hit.qi];
+            let result = self.host_fallback(q.source);
+            if let Some(c) = self.traffic_cache.as_mut().filter(|_| admission.cache) {
+                let now_ms = base_ns / 1e6 + q.arrival_ms + hit.sojourn_ms;
+                c.insert(generation, q.source, Arc::new(result.dist.clone()), now_ms);
+            }
+            outcomes[hit.qi] = Some(Outcome::Exact {
+                result,
+                via: AnswerSource::HostFallback,
+                arrival_ms: q.arrival_ms,
+                sojourn_ms: hit.sojourn_ms,
+                queue_ms: 0.0,
+            });
+        }
+
+        let outcomes: Vec<Outcome> =
+            outcomes.into_iter().map(|o| o.expect("every offered query has an outcome")).collect();
+        let mut report = TrafficReport {
+            outcomes: Vec::new(),
+            offered: queries.len(),
+            exact: 0,
+            approx: 0,
+            shed: 0,
+            device_answered: 0,
+            fallbacks: 0,
+            cache_hits: 0,
+            slo_ms: cfg.slo_ms,
+            makespan_ms,
+            deadline_violations: 0,
+        };
+        for (o, q) in outcomes.iter().zip(queries) {
+            match o {
+                Outcome::Exact { via, sojourn_ms, .. } => {
+                    report.exact += 1;
+                    match via {
+                        AnswerSource::Device => report.device_answered += 1,
+                        AnswerSource::HostFallback => report.fallbacks += 1,
+                        AnswerSource::Cache => report.cache_hits += 1,
+                    }
+                    if q.arrival_ms + *sojourn_ms > q.deadline_ms + 1e-9 {
+                        report.deadline_violations += 1;
+                    }
+                }
+                Outcome::Approx { .. } => report.approx += 1,
+                Outcome::Rejected(_) => report.shed += 1,
+            }
+        }
+        report.outcomes = outcomes;
+        report
+    }
+
+    /// The service's one query scheduler — see the module docs. Runs
+    /// `queries` (in arrival order, sources in range) on `streams`
+    /// command streams of the single-GPU backend, one leased lane per
+    /// stream; stream 0 runs on lane 0, which keeps the uploaded
+    /// heavy-offset buffer. It records the service and sojourn samples
+    /// of every query it executes, ceiling hits included, and leaves
+    /// answering the ceiling hits to the caller.
+    pub(super) fn schedule(
+        &mut self,
+        queries: &[Query],
+        streams: usize,
+        admission: Admission,
+    ) -> Schedule {
+        self.ensure_lanes(streams);
+        self.last_audit_hits = 0;
+        let generation = self.generation;
         let mut outcomes: Vec<Option<Outcome>> = vec![None; queries.len()];
-        // Ceiling-hit queries, graded by the host oracle once the
-        // scheduler's borrows are done: (index, sojourn at death).
-        let mut ceiling: Vec<(usize, f64)> = Vec::new();
+        let mut ceiling: Vec<CeilingHit> = Vec::new();
+        // Per-query (dispatch, completion) *wall* times for the overlap
+        // sweep. Wall coordinates (`StreamSet::wall_ns`) are comparable
+        // across streams; per-stream busy clocks are not — a stream
+        // that sat idle while others worked would appear to dispatch
+        // "in the past" and overcount concurrency.
         let mut intervals: Vec<(f64, f64)> = Vec::new();
         let mut predictor = Predictor::new();
-        let mut device_answered = 0usize;
-        let makespan_ms;
-        let base_abs_ns;
 
-        {
-            let State::Gpu(st) = &mut self.state else { unreachable!("gated above") };
-            let GpuState { device, variant, perm, arrays, lanes } = &mut **st;
-            let lanes = &mut lanes[..streams];
-            let graph = &self.graph;
-            let cache = &mut self.traffic_cache;
-            let rdbs_cfg = match *variant {
-                Variant::Rdbs(c) => Some(c),
-                Variant::Baseline => None,
-            };
-            let mut set = StreamSet::new(device, streams);
-            let base = set.base_ns();
-            let arrival_ns = |q: &Query| base + q.arrival_ms * 1e6;
-            let deadline_ns = |q: &Query| base + q.deadline_ms * 1e6;
+        let State::Gpu(st) = &mut self.state else {
+            panic!("the query scheduler requires a single-GPU backend")
+        };
+        let GpuState { device, variant, perm, arrays, lanes } = &mut **st;
+        let lanes = &mut lanes[..streams];
+        let graph = &self.graph;
+        let mut cache = self.traffic_cache.as_mut().filter(|_| admission.cache);
+        let rdbs_cfg = match *variant {
+            Variant::Rdbs(c) => Some(c),
+            Variant::Baseline => None,
+        };
+        let mut set = StreamSet::new(device, streams);
+        let base = set.base_ns();
+        let arrival_ns = |q: &Query| base + q.arrival_ms * 1e6;
+        let deadline_ns = |q: &Query| base + q.deadline_ms * 1e6;
 
-            struct Inflight {
-                qi: usize,
-                driver: RdbsDriver,
-                started: Instant,
-                dispatched_wall: f64,
-            }
-            let mut running: Vec<Option<Inflight>> = Vec::new();
-            running.resize_with(streams, || None);
-            // Arrival cursor: queries[..released] have been released
-            // into the waiting set (or answered from the cache).
-            let mut released = 0usize;
-            let mut waiting: Vec<usize> = Vec::new();
+        let mut running: Vec<Option<Inflight>> = Vec::new();
+        running.resize_with(streams, || None);
+        // Arrival cursor: queries[..released] have been released into
+        // the waiting set (or answered from the cache).
+        let mut released = 0usize;
+        let mut waiting: Vec<usize> = Vec::new();
 
-            loop {
-                // The actionable stream with the earliest wall
-                // frontier: running streams step one grain, idle ones
-                // dispatch (waiting for the next arrival if none is
-                // queued yet).
-                let mut pick: Option<(usize, f64)> = None;
-                for (s, slot) in running.iter().enumerate() {
-                    let wall = set.wall_ns(s as u32);
-                    let key = if slot.is_some() || !waiting.is_empty() {
-                        wall
-                    } else if released < queries.len() {
-                        wall.max(arrival_ns(&queries[released]))
-                    } else {
-                        continue;
-                    };
-                    if pick.is_none_or(|(_, best)| key < best) {
-                        pick = Some((s, key));
-                    }
-                }
-                let Some((s, t_now)) = pick else { break };
-                let sid = s as u32;
-
-                // Release arrivals up to the decision time. Exact
-                // cache hits are answered on release without touching
-                // a stream; the rest join the waiting set.
-                while released < queries.len() && arrival_ns(&queries[released]) <= t_now {
-                    let qi = released;
-                    released += 1;
-                    let q = queries[qi];
-                    // Cache stamps live on the device's absolute
-                    // clock, which is monotonic across serve calls —
-                    // answers from earlier calls stay visible.
-                    let hit = cache
-                        .as_mut()
-                        .filter(|_| cache_enabled)
-                        .and_then(|c| c.lookup(generation, q.source, t_now / 1e6));
-                    if let Some(dist) = hit {
-                        let sojourn_ms = (t_now - base) / 1e6 - q.arrival_ms;
-                        self.stats.cache_exact_hits += 1;
-                        outcomes[qi] = Some(Outcome::Exact {
-                            result: SsspResult {
-                                source: q.source,
-                                dist: (*dist).clone(),
-                                stats: UpdateStats::default(),
-                            },
-                            via: AnswerSource::Cache,
-                            arrival_ms: q.arrival_ms,
-                            sojourn_ms,
-                            queue_ms: sojourn_ms,
-                        });
-                    } else {
-                        waiting.push(qi);
-                    }
-                }
-
-                if running[s].is_some() {
-                    // Step the in-flight query one bucket.
-                    let lane = &mut lanes[s];
-                    let inflight = running[s].as_mut().expect("picked a running stream");
-                    let stepped = set.run(device, sid, |dev| {
-                        inflight.driver.step(dev, graph, &mut lane.controller)
-                    });
-                    match stepped {
-                        Ok(false) => {}
-                        Ok(true) => {
-                            let done = running[s].take().expect("stream was running");
-                            let run = set.run(device, sid, |dev| done.driver.finish(dev));
-                            self.last_audit_hits = self.last_audit_hits.max(run.audit.len());
-                            let q = queries[done.qi];
-                            let mut result = run.result;
-                            if let Some(perm) = perm.as_ref() {
-                                result.dist = perm.unapply_to_array(&result.dist);
-                                result.source = q.source;
-                            }
-                            let end = set.wall_ns(sid);
-                            let service_ns = end - done.dispatched_wall;
-                            let sojourn_ms = (end - arrival_ns(&q)) / 1e6;
-                            intervals.push((done.dispatched_wall, end));
-                            self.stats.per_query_sim_ms.push(service_ns / 1e6);
-                            self.stats.per_query_sojourn_ms.push(sojourn_ms);
-                            note_query_parts(
-                                &mut self.stats,
-                                &mut self.queries_on_graph,
-                                self.uploads_per_graph,
-                                done.started,
-                            );
-                            predictor.observe(service_ns);
-                            if let Some(c) = cache.as_mut().filter(|_| cache_enabled) {
-                                c.insert(
-                                    generation,
-                                    q.source,
-                                    Arc::new(result.dist.clone()),
-                                    end / 1e6,
-                                );
-                            }
-                            device_answered += 1;
-                            outcomes[done.qi] = Some(Outcome::Exact {
-                                result,
-                                via: AnswerSource::Device,
-                                arrival_ms: q.arrival_ms,
-                                sojourn_ms,
-                                queue_ms: (done.dispatched_wall - arrival_ns(&q)) / 1e6,
-                            });
-                        }
-                        Err(_overflow) => {
-                            let escalated = escalate_queues(
-                                &mut self.pool,
-                                device,
-                                &mut lane.scratch,
-                                graph.num_vertices(),
-                            );
-                            if escalated {
-                                self.stats.escalations += 1;
-                                let inflight = running[s].as_mut().expect("stream was running");
-                                let source = queries[inflight.qi].source;
-                                let mapped = perm.as_ref().map_or(source, |p| p.new_id(source));
-                                let cfg_rdbs = rdbs_cfg.expect("a driver implies RDBS");
-                                inflight.driver = set.run(device, sid, |dev| {
-                                    super::start_rdbs_driver(
-                                        dev, lane, *arrays, graph, mapped, cfg_rdbs,
-                                    )
-                                });
-                            } else {
-                                let dead = running[s].take().expect("stream was running");
-                                let end = set.wall_ns(sid);
-                                let q = queries[dead.qi];
-                                let sojourn_ms = (end - arrival_ns(&q)) / 1e6;
-                                intervals.push((dead.dispatched_wall, end));
-                                self.stats.per_query_sojourn_ms.push(sojourn_ms);
-                                ceiling.push((dead.qi, sojourn_ms));
-                            }
-                        }
-                    }
+        loop {
+            // The actionable stream with the earliest wall frontier:
+            // running streams step one grain, idle ones dispatch
+            // (waiting for the next arrival if none is queued yet).
+            let mut pick: Option<(usize, f64)> = None;
+            for (s, slot) in running.iter().enumerate() {
+                let wall = set.wall_ns(s as u32);
+                let key = if slot.is_some() || !waiting.is_empty() {
+                    wall
+                } else if released < queries.len() {
+                    wall.max(arrival_ns(&queries[released]))
+                } else {
                     continue;
+                };
+                if pick.is_none_or(|(_, best)| key < best) {
+                    pick = Some((s, key));
                 }
+            }
+            let Some((s, t_now)) = pick else { break };
+            let sid = s as u32;
+            let lane = &mut lanes[s];
 
+            // Release arrivals up to the decision time. Exact cache
+            // hits are answered on release without touching a stream;
+            // the rest join the waiting set.
+            while released < queries.len() && arrival_ns(&queries[released]) <= t_now {
+                let qi = released;
+                released += 1;
+                let q = queries[qi];
+                // Cache stamps live on the device's absolute clock,
+                // which is monotonic across serve calls — answers from
+                // earlier calls stay visible.
+                let hit = cache.as_mut().and_then(|c| c.lookup(generation, q.source, t_now / 1e6));
+                if let Some(dist) = hit {
+                    let sojourn_ms = (t_now - base) / 1e6 - q.arrival_ms;
+                    self.stats.cache_exact_hits += 1;
+                    outcomes[qi] = Some(Outcome::Exact {
+                        result: SsspResult {
+                            source: q.source,
+                            dist: (*dist).clone(),
+                            stats: UpdateStats::default(),
+                        },
+                        via: AnswerSource::Cache,
+                        arrival_ms: q.arrival_ms,
+                        sojourn_ms,
+                        queue_ms: sojourn_ms,
+                    });
+                } else {
+                    waiting.push(qi);
+                }
+            }
+
+            let done = if let Some(inflight) = running[s].as_mut() {
+                // Step the in-flight query one bucket.
+                let stepped = set
+                    .run(device, sid, |dev| inflight.driver.step(dev, graph, &mut lane.controller));
+                match stepped {
+                    Ok(false) => None,
+                    Ok(true) => {
+                        let Inflight { ticket, driver } =
+                            running[s].take().expect("stream was running");
+                        let run = set.run(device, sid, |dev| driver.finish(dev));
+                        self.last_audit_hits = self.last_audit_hits.max(run.audit.len());
+                        Some((ticket, run.result))
+                    }
+                    Err(overflow) => {
+                        let escalated = escalate_queues(
+                            &mut self.pool,
+                            device,
+                            &mut lane.scratch,
+                            graph.num_vertices(),
+                        );
+                        if escalated {
+                            // Replay from the start on the same stream:
+                            // the larger queue set is reset by the pool
+                            // path, and the driver's scratch reset
+                            // clears the stale pending marks.
+                            self.stats.escalations += 1;
+                            let source = queries[inflight.ticket.qi].source;
+                            let mapped = perm.as_ref().map_or(source, |p| p.new_id(source));
+                            let cfg = rdbs_cfg.expect("a driver implies RDBS");
+                            inflight.driver = set.run(device, sid, |dev| {
+                                start_rdbs_driver(dev, lane, *arrays, graph, mapped, cfg)
+                            });
+                        } else {
+                            // The sojourn ends where the device attempt
+                            // died; the caller's host recompute runs off
+                            // the simulated timeline. Recording it here
+                            // keeps the wall series — and its tail
+                            // percentiles — covering the slowest queries.
+                            let Inflight { ticket, .. } =
+                                running[s].take().expect("stream was running");
+                            let end = set.wall_ns(sid);
+                            let sojourn_ms = (end - arrival_ns(&queries[ticket.qi])) / 1e6;
+                            intervals.push((ticket.dispatched_wall, end));
+                            self.stats.per_query_sojourn_ms.push(sojourn_ms);
+                            ceiling.push(CeilingHit { qi: ticket.qi, sojourn_ms, overflow });
+                        }
+                        None
+                    }
+                }
+            } else {
                 // Idle stream: dispatch the earliest-deadline waiting
                 // query that passes admission; shed (or serve an
-                // approximate bound to) the ones that cannot make
-                // their deadline anymore.
+                // approximate bound to) the ones that cannot make their
+                // deadline anymore.
+                let mut done = None;
                 while let Some(pos) = waiting
                     .iter()
                     .enumerate()
@@ -613,12 +717,13 @@ impl SsspService {
                     let q = queries[qi];
                     let t_free = set.wall_ns(sid);
                     let start_ns = t_free.max(arrival_ns(&q));
-                    let predicted_done = start_ns + cfg.shed_margin * predictor.predicted_ns();
+                    let predicted_done =
+                        start_ns + admission.shed_margin * predictor.predicted_ns();
                     if start_ns > deadline_ns(&q) || predicted_done > deadline_ns(&q) {
                         let now_ms = (start_ns - base) / 1e6;
                         let bound = cache
                             .as_mut()
-                            .filter(|_| cache_enabled && cfg.approx_on_shed)
+                            .filter(|_| admission.approx_on_shed)
                             .and_then(|c| c.upper_bound(generation, q.source, start_ns / 1e6));
                         outcomes[qi] = Some(match bound {
                             Some(upper) => {
@@ -648,14 +753,13 @@ impl SsspService {
                         set.advance_to(device, sid, start_ns);
                     }
                     let mapped = perm.as_ref().map_or(q.source, |p| p.new_id(q.source));
-                    let lane = &mut lanes[s];
-                    let dispatched_wall = set.wall_ns(sid);
-                    let started = Instant::now();
-                    if let Some(cfg_rdbs) = rdbs_cfg {
+                    let ticket =
+                        Ticket { qi, started: Instant::now(), dispatched_wall: set.wall_ns(sid) };
+                    if let Some(cfg) = rdbs_cfg {
                         let driver = set.run(device, sid, |dev| {
-                            super::start_rdbs_driver(dev, lane, *arrays, graph, mapped, cfg_rdbs)
+                            start_rdbs_driver(dev, lane, *arrays, graph, mapped, cfg)
                         });
-                        running[s] = Some(Inflight { qi, driver, started, dispatched_wall });
+                        running[s] = Some(Inflight { ticket, driver });
                     } else {
                         // BL has no resumable driver: the whole query
                         // is the scheduling grain.
@@ -665,103 +769,47 @@ impl SsspService {
                         let gb = lane_buffers(*arrays, lane);
                         let result =
                             set.run(device, sid, |dev| bl_on(dev, gb, scratch, graph, mapped));
-                        let end = set.wall_ns(sid);
-                        let service_ns = end - dispatched_wall;
-                        let sojourn_ms = (end - arrival_ns(&q)) / 1e6;
-                        intervals.push((dispatched_wall, end));
-                        self.stats.per_query_sim_ms.push(service_ns / 1e6);
-                        self.stats.per_query_sojourn_ms.push(sojourn_ms);
-                        note_query_parts(
-                            &mut self.stats,
-                            &mut self.queries_on_graph,
-                            self.uploads_per_graph,
-                            started,
-                        );
-                        predictor.observe(service_ns);
-                        if let Some(c) = cache.as_mut().filter(|_| cache_enabled) {
-                            c.insert(
-                                generation,
-                                q.source,
-                                Arc::new(result.dist.clone()),
-                                end / 1e6,
-                            );
-                        }
-                        device_answered += 1;
-                        outcomes[qi] = Some(Outcome::Exact {
-                            result,
-                            via: AnswerSource::Device,
-                            arrival_ms: q.arrival_ms,
-                            sojourn_ms,
-                            queue_ms: (dispatched_wall - arrival_ns(&q)) / 1e6,
-                        });
+                        done = Some((ticket, result));
                     }
                     break;
                 }
-            }
-            makespan_ms = set.makespan_ns() / 1e6;
-            base_abs_ns = set.base_ns();
-        }
+                done
+            };
 
-        let mut fallbacks = 0usize;
-        for &(qi, sojourn_ms) in &ceiling {
-            let q = queries[qi];
-            let result = self.host_fallback(q.source);
-            if let Some(c) = &mut self.traffic_cache {
-                if cache_enabled {
-                    c.insert(
-                        generation,
-                        q.source,
-                        Arc::new(result.dist.clone()),
-                        base_abs_ns / 1e6 + q.arrival_ms + sojourn_ms,
-                    );
+            if let Some((ticket, mut result)) = done {
+                let q = queries[ticket.qi];
+                if let Some(perm) = perm.as_ref() {
+                    result.dist = perm.unapply_to_array(&result.dist);
+                    result.source = q.source;
                 }
+                let end = set.wall_ns(sid);
+                let service_ns = end - ticket.dispatched_wall;
+                let sojourn_ms = (end - arrival_ns(&q)) / 1e6;
+                intervals.push((ticket.dispatched_wall, end));
+                self.stats.per_query_sim_ms.push(service_ns / 1e6);
+                self.stats.per_query_sojourn_ms.push(sojourn_ms);
+                note_query_parts(
+                    &mut self.stats,
+                    &mut self.queries_on_graph,
+                    self.uploads_per_graph,
+                    ticket.started,
+                );
+                predictor.observe(service_ns);
+                if let Some(c) = cache.as_mut() {
+                    c.insert(generation, q.source, Arc::new(result.dist.clone()), end / 1e6);
+                }
+                outcomes[ticket.qi] = Some(Outcome::Exact {
+                    result,
+                    via: AnswerSource::Device,
+                    arrival_ms: q.arrival_ms,
+                    sojourn_ms,
+                    queue_ms: (ticket.dispatched_wall - arrival_ns(&q)) / 1e6,
+                });
             }
-            fallbacks += 1;
-            outcomes[qi] = Some(Outcome::Exact {
-                result,
-                via: AnswerSource::HostFallback,
-                arrival_ms: q.arrival_ms,
-                sojourn_ms,
-                queue_ms: 0.0,
-            });
         }
+        let makespan_ms = set.makespan_ns() / 1e6;
         self.stats.inflight_peak = self.stats.inflight_peak.max(peak_overlap(&intervals));
-
-        let outcomes: Vec<Outcome> =
-            outcomes.into_iter().map(|o| o.expect("every offered query has an outcome")).collect();
-        let mut exact = 0;
-        let mut approx = 0;
-        let mut shed = 0;
-        let mut cache_hits = 0;
-        let mut deadline_violations = 0;
-        for (o, q) in outcomes.iter().zip(queries) {
-            match o {
-                Outcome::Exact { via, sojourn_ms, .. } => {
-                    exact += 1;
-                    if *via == AnswerSource::Cache {
-                        cache_hits += 1;
-                    }
-                    if q.arrival_ms + *sojourn_ms > q.deadline_ms + 1e-9 {
-                        deadline_violations += 1;
-                    }
-                }
-                Outcome::Approx { .. } => approx += 1,
-                Outcome::Rejected(_) => shed += 1,
-            }
-        }
-        TrafficReport {
-            outcomes,
-            offered: queries.len(),
-            exact,
-            approx,
-            shed,
-            device_answered,
-            fallbacks,
-            cache_hits,
-            slo_ms: cfg.slo_ms,
-            makespan_ms,
-            deadline_violations,
-        }
+        Schedule { outcomes, ceiling, base_ns: base, makespan_ms }
     }
 }
 

@@ -128,8 +128,11 @@ pub struct BatchStats {
     /// ceiling-hit queries re-answered by the host fallback (their
     /// sojourn ends at the device attempt's death; the host recompute
     /// runs off the simulated timeline), so on the single-GPU backend
-    /// `per_query_sojourn_ms.len() == queries`. The multi-GPU backend
-    /// has no shared simulated clock and contributes nothing.
+    /// `per_query_sojourn_ms.len() == queries`. The one exception is a
+    /// `try_query` that returns an overflow error: the scheduler records
+    /// its sojourn like any ceiling hit, but the query is not counted as
+    /// answered. The multi-GPU backend has no shared simulated clock
+    /// and contributes nothing.
     pub per_query_sojourn_ms: Vec<f64>,
     /// Queries refused by the traffic tier's admission control with a
     /// typed rejection ([`crate::service::traffic`]) — never counted
