@@ -35,15 +35,17 @@
 //! ([`replay_case`]): same spec, same score, same verdict.
 //!
 //! Schedule fuzzing ([`fuzz_schedules`]) attacks the other
-//! nondeterminism axis: each quick entry is re-executed with the
-//! device's seeded lane-permutation fuzzer armed
-//! ([`rdbs_gpu_sim::Device::arm_schedule_fuzz`]) *and* the sanitizer
-//! watching, across many permutation seeds. Green requires every
+//! nondeterminism axis: each fuzz entry ([`entries::FUZZ`]) re-runs the
+//! scenario its id names with the seeded lane-permutation fuzzer armed
+//! ([`rdbs_gpu_sim::Device::arm_schedule_fuzz`], through
+//! `SsspService::arm_schedule_fuzz` for the service entries) *and* the
+//! sanitizer watching, across many permutation seeds. Green requires every
 //! permuted run to stay oracle-correct with zero violations, and the
 //! planted-race specimen to stay detected under permutation — a
 //! sanitizer that goes blind when the schedule shifts is worthless.
 
-use crate::chaos::{self, default_rate, CellVerdict, ChaosEntry};
+use crate::chaos::{self, default_rate, CellVerdict};
+use crate::entries::{self, substring, Entry, Probe};
 use crate::graphs::{self, GraphCase};
 use rdbs_core::gpu::{run_gpu_on, FrontierKind};
 use rdbs_core::recover::{RecoveryOutcome, RecoveryReport, RecoveryStep};
@@ -156,7 +158,7 @@ const SCOUT_KEEP: usize = 6;
 /// variant (the multi-GPU exchange) still get the oracle-derived deep
 /// frontier; their profile-derived pools stay empty and the search
 /// falls back to generic exchange/site targets.
-pub fn scout(entry: &ChaosEntry, graph: &Csr, source: VertexId, oracle_dist: &[u32]) -> ScoutIntel {
+pub fn scout(entry: &Entry, graph: &Csr, source: VertexId, oracle_dist: &[u32]) -> ScoutIntel {
     let mut intel = ScoutIntel::default();
     if let Some(variant) = entry.scout_variant() {
         let mut device = Device::new(DeviceConfig::test_tiny());
@@ -200,7 +202,7 @@ pub fn scout(entry: &ChaosEntry, graph: &Csr, source: VertexId, oracle_dist: &[u
 /// at an atomic/plain overlap site resurrects dead snapshots; a failed
 /// child launch inside a kernel's own wave window severs dynamic
 /// parallelism where it actually fires.
-fn playbook(entry: &ChaosEntry, intel: &ScoutIntel) -> Vec<(FaultModel, f64, FaultTarget)> {
+fn playbook(entry: &Entry, intel: &ScoutIntel) -> Vec<(FaultModel, f64, FaultTarget)> {
     let mut book: Vec<(FaultModel, f64, FaultTarget)> = Vec::new();
     let site_pin = |site| FaultTarget { site: Some(site), index: None, wave: None, stream: None };
     for &site in &intel.hot_read_buffers {
@@ -250,7 +252,7 @@ fn playbook(entry: &ChaosEntry, intel: &ScoutIntel) -> Vec<(FaultModel, f64, Fau
 }
 
 /// Build the pool of candidate [`FaultTarget`]s the search draws from.
-fn target_pool(entry: &ChaosEntry, intel: &ScoutIntel) -> Vec<FaultTarget> {
+fn target_pool(entry: &Entry, intel: &ScoutIntel) -> Vec<FaultTarget> {
     let mut pool: Vec<FaultTarget> = Vec::new();
     let mut push = |t: FaultTarget| {
         if !pool.contains(&t) {
@@ -286,7 +288,7 @@ fn target_pool(entry: &ChaosEntry, intel: &ScoutIntel) -> Vec<FaultTarget> {
     pool
 }
 
-fn models_for(entry: &ChaosEntry) -> Vec<FaultModel> {
+fn models_for(entry: &Entry) -> Vec<FaultModel> {
     FaultModel::ALL
         .into_iter()
         .filter(|m| !m.is_message_model() || entry.carries_messages())
@@ -405,10 +407,6 @@ impl AdversaryReport {
     }
 }
 
-fn substring(filter: &Option<String>, s: &str) -> bool {
-    filter.as_ref().is_none_or(|f| s.contains(f.as_str()))
-}
-
 fn sample_target(rng: &mut SearchRng, pool: &[FaultTarget]) -> FaultTarget {
     pool[rng.below(pool.len())]
 }
@@ -450,7 +448,7 @@ fn mutate(rng: &mut SearchRng, best: FaultSpec, pool: &[FaultTarget]) -> FaultSp
 /// Run the budgeted placement search for one `(entry, graph)` pair.
 /// Deterministic in `(opts.seed, opts.budget)`: same corpus, same
 /// scores, same worst plan.
-pub fn attack(entry: &ChaosEntry, family: &GraphCase, opts: &AdversaryOptions) -> AttackRun {
+pub fn attack(entry: &Entry, family: &GraphCase, opts: &AdversaryOptions) -> AttackRun {
     let graph = family.build();
     let source = family.sources(graph.num_vertices())[0];
     let oracle = dijkstra(&graph, source);
@@ -562,15 +560,8 @@ pub fn run_adversary(
     opts: &AdversaryOptions,
     mut progress: impl FnMut(&AttackRun),
 ) -> AdversaryReport {
-    let entries: Vec<ChaosEntry> =
-        if opts.quick { chaos::quick_chaos_entries() } else { chaos::chaos_entries() }
-            .into_iter()
-            .filter(|e| substring(&opts.entry_filter, e.id))
-            .map(|e| match opts.frontier {
-                Some(kind) => e.with_frontier(kind),
-                None => e,
-            })
-            .collect();
+    let ids = if opts.quick { entries::CHAOS_QUICK } else { entries::CHAOS };
+    let entries = entries::select(ids, &opts.entry_filter, opts.frontier);
     let families: Vec<GraphCase> =
         if opts.quick { graphs::quick_families() } else { graphs::families() }
             .into_iter()
@@ -723,7 +714,7 @@ pub fn parse_corpus_line(line: &str) -> Option<CorpusCase> {
 /// its recorded values. `None` when the entry or graph no longer
 /// exists.
 pub fn replay_case(case: &CorpusCase) -> Option<(u32, &'static str)> {
-    let entry = chaos::chaos_entries().into_iter().find(|e| e.id == case.entry_id)?;
+    let entry = entries::find(&case.entry_id)?;
     let family = graphs::families().into_iter().find(|f| f.name == case.graph)?;
     let graph = family.build();
     let oracle = dijkstra(&graph, case.source);
@@ -816,18 +807,11 @@ pub fn permuted_specimen_detected(perm_seed: u64) -> bool {
     device.san_violations().iter().any(|v| v.check == SanCheck::WriteWriteRace)
 }
 
-/// Re-execute each entry's kernel variant under `perms` seeded lane
+/// Re-execute each entry's scenario under `perms` seeded lane
 /// permutations with the sanitizer armed. `progress` fires per cell.
 pub fn fuzz_schedules(opts: &FuzzOptions, mut progress: impl FnMut(&FuzzCell)) -> FuzzReport {
-    let entries: Vec<ChaosEntry> =
-        if opts.quick { chaos::quick_chaos_entries() } else { chaos::chaos_entries() }
-            .into_iter()
-            .filter(|e| substring(&opts.entry_filter, e.id) && e.scout_variant().is_some())
-            .map(|e| match opts.frontier {
-                Some(kind) => e.with_frontier(kind),
-                None => e,
-            })
-            .collect();
+    let ids = if opts.quick { entries::FUZZ_QUICK } else { entries::FUZZ };
+    let entries = entries::select(ids, &opts.entry_filter, opts.frontier);
     let families: Vec<GraphCase> =
         if opts.quick { graphs::quick_families() } else { graphs::families() };
 
@@ -842,23 +826,19 @@ pub fn fuzz_schedules(opts: &FuzzOptions, mut progress: impl FnMut(&FuzzCell)) -
         let source = family.sources(graph.num_vertices())[0];
         let oracle = dijkstra(&graph, source);
         for entry in &entries {
-            let Some(variant) = entry.scout_variant() else { continue };
             for &perm_seed in &perm_seeds {
+                let probe = Probe { san: true, ir: false, perm_seed: Some(perm_seed) };
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let mut device = Device::new(DeviceConfig::test_tiny());
-                    device.arm_sanitizer(SanConfig::default());
-                    device.arm_schedule_fuzz(perm_seed);
-                    let run = run_gpu_on(&mut device, &graph, source, variant);
-                    (run.result.dist, device.san_total())
+                    entries::run(entry, &graph, source, None, probe)
                 }));
                 let cell = match outcome {
-                    Ok((dist, violations)) => FuzzCell {
+                    Ok(run) => FuzzCell {
                         entry_id: entry.id,
                         graph: family.name,
                         source,
                         perm_seed,
-                        correct: check_against(&oracle.dist, &dist).is_ok(),
-                        violations,
+                        correct: check_against(&oracle.dist, &run.result.dist).is_ok(),
+                        violations: run.san_total,
                         panic: None,
                     },
                     Err(payload) => FuzzCell {
@@ -898,7 +878,7 @@ mod tests {
 
     #[test]
     fn scout_harvests_profile_and_deep_frontier() {
-        let entry = chaos::chaos_entries().into_iter().find(|e| e.id == "gpu/full").unwrap();
+        let entry = entries::find("gpu/full").unwrap();
         let family =
             graphs::quick_families().into_iter().find(|f| f.name == "erdos-renyi").unwrap();
         let graph = family.build();

@@ -8,7 +8,9 @@
 //! window saw, and the verifier quantifies over every interleaving of
 //! it. A kernel certified [`rdbs_statan::Verdict::RaceFree`] here
 //! cannot be made racy by any lane permutation the schedule fuzzer
-//! could ever draw.
+//! could ever draw. The entries are the sanitized matrix's ids in the
+//! one entry table ([`crate::entries`]), run through [`entries::run`]
+//! with an IR probe.
 //!
 //! Two liveness specimens gate every sweep (run first by the CLI so a
 //! green matrix can never mean "verifier asleep"):
@@ -22,11 +24,10 @@
 //!   volatile reads) yet is a real race: the reader can observe a
 //!   half-published state. Only the static verifier catches it.
 
+use crate::entries::{self, Entry, EntryKind, Probe};
 use crate::graphs::{self, GraphCase};
-use crate::sanitize::{san_entries, EntryKind, SanEntry};
-use rdbs_core::gpu::{run_gpu_on, FrontierKind, MultiGpuConfig, MultiGpuState, Variant};
+use rdbs_core::gpu::{FrontierKind, Variant};
 use rdbs_core::seq::dijkstra;
-use rdbs_core::service::{ServiceConfig, SsspService};
 use rdbs_core::validate::check_against;
 use rdbs_core::{Csr, VertexId};
 use rdbs_gpu_sim::{AccessIr, Device, DeviceConfig, HazardKind, SanConfig};
@@ -105,11 +106,8 @@ impl AnalyzeReport {
 /// [`FrontierKind`]; the synchronous baseline and the multi-GPU
 /// exchange do not, so re-running them per layout would only duplicate
 /// identical certificates.
-fn frontier_axis(entry: &SanEntry, forced: Option<FrontierKind>) -> Vec<FrontierKind> {
-    let sensitive = matches!(
-        entry.kind,
-        EntryKind::Gpu(Variant::Rdbs(_)) | EntryKind::Service | EntryKind::ServiceConcurrent
-    );
+fn frontier_axis(entry: &Entry, forced: Option<FrontierKind>) -> Vec<FrontierKind> {
+    let sensitive = matches!(entry.kind, EntryKind::Gpu(Variant::Rdbs(_)) | EntryKind::Service(_));
     match (forced, sensitive) {
         (Some(kind), true) => vec![kind],
         (Some(kind), false) => {
@@ -130,73 +128,20 @@ fn frontier_axis(entry: &SanEntry, forced: Option<FrontierKind>) -> Vec<Frontier
 /// Run one entry point once with the IR recorder armed and verify the
 /// retained IR. Returns the per-device analyses merged.
 fn run_verified(
-    entry: &SanEntry,
+    entry: &Entry,
     graph: &Csr,
     oracle_dist: &[u32],
     source: VertexId,
 ) -> Result<(Analysis, Option<String>), String> {
-    let outcome = catch_unwind(AssertUnwindSafe(|| match entry.kind {
-        EntryKind::Gpu(variant) => {
-            let mut device = Device::new(DeviceConfig::test_tiny());
-            device.arm_ir();
-            let run = run_gpu_on(&mut device, graph, source, entry.apply_variant(variant));
-            let ir = device.take_ir().expect("IR was armed");
-            (run.result.dist, vec![ir])
-        }
-        EntryKind::MultiGpu(k) => {
-            let config = MultiGpuConfig {
-                num_devices: k,
-                device: DeviceConfig::test_tiny(),
-                interconnect_gbps: 50.0,
-                exchange_latency_us: 5.0,
-                delta0: None,
-            };
-            let mut state = MultiGpuState::new(graph, &config);
-            state.arm_ir();
-            let run = state.run(source);
-            (run.result.dist, state.take_irs())
-        }
-        EntryKind::Service => {
-            let config = entry.apply_service(ServiceConfig::rdbs(DeviceConfig::test_tiny()));
-            let mut svc = SsspService::new(graph, config);
-            svc.arm_ir();
-            let n = graph.num_vertices();
-            let warm = VertexId::try_from((source as usize + 1) % n).expect("vertex id fits");
-            let _ = svc.query(warm);
-            let result = svc.query(source);
-            (result.dist, svc.take_irs())
-        }
-        EntryKind::ServiceConcurrent => {
-            let config =
-                entry.apply_service(ServiceConfig::rdbs(DeviceConfig::test_tiny()).with_streams(4));
-            let mut svc = SsspService::new(graph, config);
-            svc.arm_ir();
-            let n = graph.num_vertices();
-            let other = |k: usize| VertexId::try_from((source as usize + k) % n).expect("fits");
-            let batch = [source, other(1), other(2), other(3)];
-            let mut results = svc.batch(&batch);
-            let result = results.swap_remove(0);
-            (result.dist, svc.take_irs())
-        }
-    }));
-    match outcome {
-        Ok((dist, irs)) => {
-            let mismatch = check_against(oracle_dist, &dist).err().map(|m| m.to_string());
-            let mut analysis = Analysis::default();
-            for ir in &irs {
-                analysis.merge(rdbs_statan::verify(ir));
-            }
-            Ok((analysis, mismatch))
-        }
-        Err(payload) => Err(crate::runner::panic_message(payload.as_ref())),
+    let probe = Probe { ir: true, ..Probe::default() };
+    let run = catch_unwind(AssertUnwindSafe(|| entries::run(entry, graph, source, None, probe)))
+        .map_err(|payload| crate::runner::panic_message(payload.as_ref()))?;
+    let mismatch = check_against(oracle_dist, &run.result.dist).err().map(|m| m.to_string());
+    let mut analysis = Analysis::default();
+    for ir in &run.irs {
+        analysis.merge(rdbs_statan::verify(ir));
     }
-}
-
-fn substring(filter: &Option<String>, s: &str) -> bool {
-    match filter {
-        Some(f) => s.contains(f.as_str()),
-        None => true,
-    }
+    Ok((analysis, mismatch))
 }
 
 /// Sweep the static-verification matrix: registry × frontier axis ×
@@ -206,11 +151,8 @@ pub fn run_analyze(
     opts: &AnalyzeOptions,
     mut progress: impl FnMut(&AnalyzedCell),
 ) -> AnalyzeReport {
-    let entries: Vec<SanEntry> =
-        if opts.quick { crate::sanitize::quick_san_entries() } else { san_entries() }
-            .into_iter()
-            .filter(|e| substring(&opts.entry_filter, e.id))
-            .collect();
+    let ids = if opts.quick { entries::SANITIZE_QUICK } else { entries::SANITIZE };
+    let entries = entries::select(ids, &opts.entry_filter, None);
     let families: Vec<GraphCase> =
         if opts.quick { graphs::quick_families() } else { graphs::families() };
 
@@ -711,11 +653,7 @@ mod tests {
     /// through the frontier abstraction.
     #[test]
     fn frontier_axis_matches_sensitivity() {
-        let entries = san_entries();
-        let axis_of = |id: &str| {
-            let e = entries.iter().find(|e| e.id == id).unwrap();
-            frontier_axis(e, None).len()
-        };
+        let axis_of = |id: &str| frontier_axis(&entries::find(id).unwrap(), None).len();
         assert_eq!(axis_of("gpu/bl"), 1);
         assert_eq!(axis_of("multi-gpu/k2"), 1);
         assert_eq!(axis_of("gpu/full"), FrontierKind::ALL.len());

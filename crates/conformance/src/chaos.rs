@@ -19,155 +19,24 @@
 //! point; on single-device entries they have no injection sites and
 //! are skipped rather than swept as trivially-clean cells.
 //!
+//! The entries are ids in the one entry table ([`crate::entries`]),
+//! run through [`entries::run_recovered`]; a service id flies the same
+//! scenario here that the sanitizer, IR and schedule-fuzz sweeps fly.
+//!
 //! The `gpu/refault` entry re-arms the same fault spec on the rung-2
 //! recovery rerun (persistent-fault semantics), so the recovery path
 //! itself executes under fire: the ladder's audit gate on the rerun's
 //! output — not fault-free luck — is what keeps that cell honest.
 
+use crate::entries::{self, substring, Entry};
 use crate::graphs::{self, GraphCase};
-use rdbs_core::gpu::{FrontierKind, MultiGpuConfig, RdbsConfig, Variant};
-use rdbs_core::recover::{
-    run_gpu_recovered, run_gpu_recovered_refault, run_multi_recovered,
-    run_service_concurrent_recovered, run_service_recovered, run_service_traffic_recovered,
-    RecoveryOutcome, RecoveryReport,
-};
+use rdbs_core::gpu::FrontierKind;
+use rdbs_core::recover::{RecoveryOutcome, RecoveryReport};
 use rdbs_core::seq::dijkstra;
-use rdbs_core::service::ServiceConfig;
 use rdbs_core::validate::{check_against, Mismatch};
 use rdbs_core::{Csr, VertexId};
-use rdbs_gpu_sim::{DeviceConfig, FaultModel, FaultSpec};
+use rdbs_gpu_sim::{FaultModel, FaultSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// Which recovered entry point a chaos cell exercises.
-#[derive(Clone, Copy, Debug)]
-pub struct ChaosEntry {
-    /// Stable id used in reports and filters (e.g. `gpu/full`).
-    pub id: &'static str,
-    kind: EntryKind,
-    /// `--frontier` override: run every RDBS-backed surface of this
-    /// entry on this frontier layout instead of its registered one.
-    frontier: Option<FrontierKind>,
-}
-
-#[derive(Clone, Copy, Debug)]
-enum EntryKind {
-    Gpu(Variant),
-    /// Same as `Gpu`, but with persistent-fault semantics: the spec
-    /// is re-armed on the rung-2 rerun device, so the recovery path
-    /// itself runs under fire and must still never lie.
-    GpuRefault(Variant),
-    MultiGpu(usize),
-    /// The resident batched service's pooled entry point (full RDBS
-    /// on one device; the faulted query runs on recycled buffers).
-    Service,
-    /// The service's concurrent scheduler: the scored query flies in a
-    /// three-source batch across four command streams, so injections
-    /// land while sibling queries are in flight.
-    ServiceConcurrent,
-    /// The service's open-loop traffic tier: the scored query is the
-    /// first arrival, a past-deadline arrival exercises typed
-    /// shedding, and the graded answer is a cache replay — injections
-    /// must never hide behind the answer cache or the shed path.
-    ServiceTraffic,
-    /// The MLMQ spill path under fire: the service runs the scored
-    /// query on a deliberately under-provisioned multi-level frontier,
-    /// so hot-level overflow spills into the deferred level while
-    /// faults land. A faulted spill must never go silently wrong —
-    /// real loss surfaces as a counted host fallback, never a lie.
-    ServiceSpill,
-}
-
-impl ChaosEntry {
-    /// Whether message-channel fault models have injection sites here.
-    pub fn carries_messages(&self) -> bool {
-        matches!(self.kind, EntryKind::MultiGpu(k) if k > 1)
-    }
-
-    /// Run every RDBS-backed surface of this entry on `kind`'s
-    /// frontier layout (`--frontier`). The dedicated spill entry keeps
-    /// its own MLMQ layout — its id names the layout it exists to
-    /// exercise.
-    #[must_use]
-    pub fn with_frontier(mut self, kind: FrontierKind) -> Self {
-        if !matches!(self.kind, EntryKind::ServiceSpill) {
-            self.frontier = Some(kind);
-        }
-        self
-    }
-
-    fn apply_variant(&self, v: Variant) -> Variant {
-        match (self.frontier, v) {
-            (Some(kind), Variant::Rdbs(cfg)) => Variant::Rdbs(cfg.with_frontier(kind)),
-            (_, v) => v,
-        }
-    }
-
-    fn apply_service(&self, config: ServiceConfig) -> ServiceConfig {
-        match self.frontier {
-            Some(kind) => config.with_frontier(kind),
-            None => config,
-        }
-    }
-
-    /// The single-device kernel variant this entry runs, when it has
-    /// one — used by the adversarial scout to profile the entry's
-    /// memory accesses under the sanitizer.
-    pub(crate) fn scout_variant(&self) -> Option<Variant> {
-        let variant = match self.kind {
-            EntryKind::Gpu(v) | EntryKind::GpuRefault(v) => v,
-            EntryKind::MultiGpu(_) => return None,
-            // Every service tier runs full RDBS on one device.
-            EntryKind::Service | EntryKind::ServiceConcurrent | EntryKind::ServiceTraffic => {
-                Variant::Rdbs(RdbsConfig::full())
-            }
-            EntryKind::ServiceSpill => {
-                Variant::Rdbs(RdbsConfig::full().with_frontier(FrontierKind::Mlmq))
-            }
-        };
-        Some(self.apply_variant(variant))
-    }
-}
-
-/// Every entry point the full chaos sweep covers.
-pub fn chaos_entries() -> Vec<ChaosEntry> {
-    let entry = |id, kind| ChaosEntry { id, kind, frontier: None };
-    vec![
-        entry("gpu/full", EntryKind::Gpu(Variant::Rdbs(RdbsConfig::full()))),
-        entry("gpu/sync-delta", EntryKind::Gpu(Variant::Rdbs(RdbsConfig::sync_delta()))),
-        entry("gpu/basyn", EntryKind::Gpu(Variant::Rdbs(RdbsConfig::basyn_only()))),
-        entry("gpu/refault", EntryKind::GpuRefault(Variant::Rdbs(RdbsConfig::full()))),
-        entry("multi-gpu/k2", EntryKind::MultiGpu(2)),
-        entry("service/pooled", EntryKind::Service),
-        entry("service/concurrent", EntryKind::ServiceConcurrent),
-        entry("service/traffic", EntryKind::ServiceTraffic),
-        entry("service/mlmq-spill", EntryKind::ServiceSpill),
-    ]
-}
-
-/// The reduced sweep: the asynchronous single-device entry (widest
-/// fault surface), the persistent-fault entry (recovery path under
-/// fire), the multi-GPU exchange (message models), the pooled service
-/// entry (buffer-reuse surface), the concurrent scheduler (faults
-/// under in-flight concurrency), the traffic tier (faults behind the
-/// answer cache and the shedding path), and the under-provisioned
-/// MLMQ frontier (faults landing on the cross-level spill path).
-pub fn quick_chaos_entries() -> Vec<ChaosEntry> {
-    chaos_entries()
-        .into_iter()
-        .filter(|e| {
-            matches!(
-                e.id,
-                "gpu/full"
-                    | "gpu/refault"
-                    | "multi-gpu/k2"
-                    | "service/pooled"
-                    | "service/concurrent"
-                    | "service/traffic"
-                    | "service/mlmq-spill"
-            )
-        })
-        .collect()
-}
 
 /// Per-model default injection rate: high enough that faults actually
 /// land on the small matrix graphs, low enough that runs terminate.
@@ -310,80 +179,16 @@ impl ChaosReport {
     }
 }
 
-fn substring(filter: &Option<String>, s: &str) -> bool {
-    match filter {
-        Some(f) => s.contains(f.as_str()),
-        None => true,
-    }
-}
-
-/// The under-provisioned MLMQ service the spill entry runs: each
-/// lane's frontier gets about a third of the vertex count in logical
-/// slots, so hot-level sub-queues overflow into the deferred level on
-/// dense buckets, while the level pair still holds enough total slots
-/// that a fault-free run never drops work. Real loss under fire is
-/// still possible (that is the point) — it must surface as a typed
-/// overflow and a counted host fallback through `batch`.
-pub(crate) fn spill_service_config(graph: &Csr) -> ServiceConfig {
-    let capacity = (graph.num_vertices() as u32 / 3).max(8);
-    ServiceConfig::rdbs(DeviceConfig::test_tiny())
-        .with_streams(2)
-        .with_frontier(FrontierKind::Mlmq)
-        .with_queue_capacity(capacity)
-}
-
 /// Run one chaos cell and grade it.
 pub fn run_cell(
-    entry: &ChaosEntry,
+    entry: &Entry,
     graph: &Csr,
     oracle_dist: &[u32],
     source: VertexId,
     spec: FaultSpec,
 ) -> (Option<RecoveryReport>, CellVerdict) {
-    let attempt = catch_unwind(AssertUnwindSafe(|| match entry.kind {
-        EntryKind::Gpu(variant) => run_gpu_recovered(
-            graph,
-            source,
-            entry.apply_variant(variant),
-            DeviceConfig::test_tiny(),
-            Some(spec),
-        ),
-        EntryKind::GpuRefault(variant) => run_gpu_recovered_refault(
-            graph,
-            source,
-            entry.apply_variant(variant),
-            DeviceConfig::test_tiny(),
-            Some(spec),
-        ),
-        EntryKind::MultiGpu(k) => {
-            let config = MultiGpuConfig {
-                num_devices: k,
-                device: DeviceConfig::test_tiny(),
-                interconnect_gbps: 50.0,
-                exchange_latency_us: 5.0,
-                delta0: None,
-            };
-            run_multi_recovered(graph, source, &config, Some(spec))
-        }
-        EntryKind::Service => {
-            let config = entry.apply_service(ServiceConfig::rdbs(DeviceConfig::test_tiny()));
-            run_service_recovered(graph, source, config, Some(spec))
-        }
-        EntryKind::ServiceConcurrent => {
-            let config =
-                entry.apply_service(ServiceConfig::rdbs(DeviceConfig::test_tiny()).with_streams(4));
-            run_service_concurrent_recovered(graph, source, config, Some(spec))
-        }
-        EntryKind::ServiceTraffic => {
-            let config =
-                entry.apply_service(ServiceConfig::rdbs(DeviceConfig::test_tiny()).with_streams(2));
-            run_service_traffic_recovered(graph, source, config, Some(spec))
-        }
-        EntryKind::ServiceSpill => {
-            let config = spill_service_config(graph);
-            run_service_concurrent_recovered(graph, source, config, Some(spec))
-        }
-    }));
+    let attempt =
+        catch_unwind(AssertUnwindSafe(|| entries::run_recovered(entry, graph, source, Some(spec))));
     match attempt {
         Ok(run) => grade_run(oracle_dist, run),
         Err(payload) => (None, CellVerdict::Error(crate::runner::panic_message(payload.as_ref()))),
@@ -413,14 +218,8 @@ pub(crate) fn grade_run(
 /// Sweep the chaos matrix. `progress` is called once per cell as it
 /// completes; pass a no-op closure when output is unwanted.
 pub fn run_chaos(opts: &ChaosOptions, mut progress: impl FnMut(&ChaosCell)) -> ChaosReport {
-    let entries: Vec<ChaosEntry> = if opts.quick { quick_chaos_entries() } else { chaos_entries() }
-        .into_iter()
-        .filter(|e| substring(&opts.entry_filter, e.id))
-        .map(|e| match opts.frontier {
-            Some(kind) => e.with_frontier(kind),
-            None => e,
-        })
-        .collect();
+    let ids = if opts.quick { entries::CHAOS_QUICK } else { entries::CHAOS };
+    let entries = entries::select(ids, &opts.entry_filter, opts.frontier);
     let families: Vec<GraphCase> =
         if opts.quick { graphs::quick_families() } else { graphs::families() }
             .into_iter()
@@ -540,8 +339,9 @@ mod tests {
     /// wrong.
     #[test]
     fn exhausted_budget_grades_as_error_not_silent_wrong() {
-        use rdbs_core::gpu::RdbsConfig;
+        use rdbs_core::gpu::{RdbsConfig, Variant};
         use rdbs_core::recover::{run_gpu_recovered_budgeted, RecoveryBudget};
+        use rdbs_gpu_sim::DeviceConfig;
 
         // The adversarial 199-hop path from the recover tests: rung 1
         // cannot certify inside its round budget, so one rung exhausts.
@@ -616,13 +416,14 @@ mod tests {
     /// cell can only ever be the fault's doing.
     #[test]
     fn spill_entry_config_is_clean_without_faults() {
+        use crate::entries::spill_service_config;
         use rdbs_core::service::SsspService;
 
         for family in graphs::quick_families() {
             let graph = family.build();
             let source = family.sources(graph.num_vertices())[0];
             let oracle = dijkstra(&graph, source);
-            let mut svc = SsspService::new(&graph, spill_service_config(&graph));
+            let mut svc = SsspService::new(&graph, spill_service_config(graph.num_vertices()));
             let results = svc.batch(&[source, (source + 1) % graph.num_vertices() as u32]);
             check_against(&oracle.dist, &results[0].dist).unwrap();
             let stats = svc.stats();

@@ -8,6 +8,11 @@
 //!   ablation toggles, the multi-GPU port at k ∈ {1, 2, 4}, every
 //!   baseline comparator, and the framework integration) behind one
 //!   uniform `(graph, source, Δ₀) → SsspResult` signature.
+//! * [`entries`] — the one table of device-backed entries (GPU,
+//!   multi-GPU, service), each id with exactly one scenario; every
+//!   sweep's entry list is an ordered id list over it, run bare or
+//!   with a sanitizer / IR / permutation [`Probe`] by [`entries::run`]
+//!   and under faults by [`entries::run_recovered`].
 //! * [`runner`] — the differential matrix: implementations × graph
 //!   families × seeded sources, each compared exactly against the
 //!   oracle; panics are caught and reported as failures.
@@ -43,6 +48,7 @@
 pub mod adversary;
 pub mod analyze;
 pub mod chaos;
+pub mod entries;
 pub mod graphs;
 pub mod localize;
 pub mod registry;
@@ -61,15 +67,13 @@ pub use adversary::{
     run_adversary, AdversaryOptions, AdversaryReport, AttackRun, Candidate, CorpusCase, FuzzCell,
     FuzzOptions, FuzzReport, ScoutIntel,
 };
-pub use chaos::{
-    chaos_entries, run_chaos, CellVerdict, ChaosCell, ChaosEntry, ChaosOptions, ChaosReport,
-};
+pub use chaos::{run_chaos, CellVerdict, ChaosCell, ChaosOptions, ChaosReport};
+pub use entries::{Entry, Observed, Probe};
 pub use graphs::{families, GraphCase};
 pub use localize::{localize, Divergence};
 pub use registry::{all, by_id, with_faults, Family, Implementation, FAULT_OFF_BY_ONE};
 pub use runner::{run_matrix, CaseFailure, FailureKind, MatrixOptions, MatrixReport};
 pub use sanitize::{
-    planted_race_specimen, run_sanitize, san_entries, specimen_detected, SanCell, SanEntry,
-    SanMatrixReport, SanOptions,
+    planted_race_specimen, run_sanitize, specimen_detected, SanCell, SanMatrixReport, SanOptions,
 };
 pub use shrink::{shrink, shrink_built, ShrunkWitness};

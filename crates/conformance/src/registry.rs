@@ -8,8 +8,8 @@
 //! exists to demonstrate (and regression-test) the shrinker and
 //! localizer end to end.
 
-use rdbs_core::gpu::{multi_gpu_sssp, run_gpu, FrontierKind, MultiGpuConfig, RdbsConfig, Variant};
-use rdbs_core::service::{ServiceConfig, SsspService};
+use crate::entries::{self, Entry, EntryKind, Probe};
+use rdbs_core::gpu::{FrontierKind, Variant};
 use rdbs_core::stats::{SsspResult, UpdateStats};
 use rdbs_core::{cpu, default_delta, saturating_relax, seq, Csr, VertexId, Weight, INF};
 use rdbs_gpu_sim::{Device, DeviceConfig};
@@ -53,11 +53,9 @@ enum Kind {
     DeltaStepping,
     CpuParallel,
     CpuAsync,
-    Gpu(Variant),
-    MultiGpu(usize),
-    Service,
-    ServiceConcurrent,
-    ServiceTraffic,
+    /// A simulated-GPU, multi-GPU or service entry from the one entry
+    /// table ([`crate::entries`]).
+    Device(Entry),
     Adds,
     NearFar,
     FrontierBf,
@@ -75,26 +73,19 @@ pub struct Implementation {
     pub id: &'static str,
     pub family: Family,
     kind: Kind,
-    /// Frontier-layout override (`--frontier`): applied to the RDBS
-    /// config of GPU and service entries; `None` keeps each entry's
-    /// own layout. Non-RDBS entries ignore it.
-    frontier: Option<FrontierKind>,
 }
 
 impl Implementation {
-    /// Run this entry on the given frontier layout (where it has one).
+    /// Run this entry on the given frontier layout (where it has one;
+    /// non-RDBS entries ignore it).
     #[must_use]
     pub fn with_frontier(mut self, frontier: FrontierKind) -> Self {
-        self.frontier = Some(frontier);
+        if let Kind::Device(entry) = &mut self.kind {
+            *entry = entry.with_frontier(frontier);
+        }
         self
     }
 
-    /// Apply the frontier override to an RDBS config.
-    fn apply_frontier(&self, cfg: &mut RdbsConfig) {
-        if let Some(f) = self.frontier {
-            cfg.frontier = f;
-        }
-    }
     /// Run this implementation. `delta0` overrides the bucket width
     /// where the algorithm has one (ignored otherwise); `None` uses
     /// each implementation's own default.
@@ -107,102 +98,8 @@ impl Implementation {
             Kind::DeltaStepping => seq::delta_stepping(graph, source, delta()),
             Kind::CpuParallel => cpu::parallel_delta_stepping(graph, source, delta(), THREADS),
             Kind::CpuAsync => cpu::async_bucket_sssp(graph, source, delta(), THREADS),
-            Kind::Gpu(variant) => {
-                let variant = match variant {
-                    Variant::Rdbs(mut cfg) => {
-                        cfg.delta0 = delta0.or(cfg.delta0);
-                        self.apply_frontier(&mut cfg);
-                        Variant::Rdbs(cfg)
-                    }
-                    v => v,
-                };
-                run_gpu(graph, source, variant, DeviceConfig::test_tiny()).result
-            }
-            Kind::MultiGpu(k) => {
-                let config = MultiGpuConfig {
-                    num_devices: k,
-                    device: DeviceConfig::test_tiny(),
-                    interconnect_gbps: 50.0,
-                    exchange_latency_us: 5.0,
-                    delta0,
-                };
-                multi_gpu_sssp(graph, source, &config).result
-            }
-            Kind::Service | Kind::ServiceConcurrent => {
-                let mut cfg = RdbsConfig::full();
-                cfg.delta0 = delta0;
-                self.apply_frontier(&mut cfg);
-                // The concurrent entry spreads the batch across four
-                // command streams (clamped to the batch size), so the
-                // matrix differentials the scheduler's lane isolation
-                // against every one-shot entry.
-                let streams = if matches!(self.kind, Kind::ServiceConcurrent) { 4 } else { 1 };
-                let mut svc = SsspService::new(
-                    graph,
-                    ServiceConfig {
-                        backend: rdbs_core::service::Backend::Gpu(Variant::Rdbs(cfg)),
-                        device: DeviceConfig::test_tiny(),
-                        delta0,
-                        streams,
-                        queue_capacity: None,
-                    },
-                );
-                // Warm-up on a different source first, so the scored
-                // query runs on recycled pooled buffers — the matrix
-                // differentials pooled-reuse against every one-shot
-                // entry, not just a fresh service.
-                let n = graph.num_vertices() as u32;
-                let warm = if n > 1 { (source + 1) % n } else { source };
-                svc.batch(&[warm, source]).pop().expect("batch of two returns two results")
-            }
-            Kind::ServiceTraffic => {
-                use rdbs_core::service::cache::CacheConfig;
-                use rdbs_core::service::traffic::{
-                    ArrivalProcess, Outcome, Query, SourceMix, TrafficConfig,
-                };
-                let mut cfg = RdbsConfig::full();
-                cfg.delta0 = delta0;
-                self.apply_frontier(&mut cfg);
-                let mut svc = SsspService::new(
-                    graph,
-                    ServiceConfig {
-                        backend: rdbs_core::service::Backend::Gpu(Variant::Rdbs(cfg)),
-                        device: DeviceConfig::test_tiny(),
-                        delta0,
-                        streams: 2,
-                        queue_capacity: None,
-                    },
-                );
-                // The scored query arrives first (an empty admission
-                // predictor always admits it); a late repeat replays it
-                // from the answer cache, so the matrix differentials
-                // the cache path — the returned bits ARE the cached
-                // bits — against every one-shot entry.
-                let n = graph.num_vertices() as u32;
-                let warm = if n > 1 { (source + 1) % n } else { source };
-                let generous = 1e12;
-                let queries = [
-                    Query { source, arrival_ms: 0.0, deadline_ms: generous },
-                    Query { source: warm, arrival_ms: 0.0, deadline_ms: generous },
-                    Query { source, arrival_ms: 1e6, deadline_ms: generous },
-                ];
-                let tcfg = TrafficConfig {
-                    arrivals: ArrivalProcess::Poisson { qps: 1.0 }, // unused: explicit queries
-                    offered: queries.len(),
-                    seed: 0,
-                    slo_ms: generous,
-                    tight_slo_ms: None,
-                    tight_every: 0,
-                    sources: SourceMix::Uniform,
-                    shed_margin: 1.0,
-                    cache: Some(CacheConfig::default()),
-                    approx_on_shed: false,
-                };
-                let report = svc.serve_queries(&queries, &tcfg);
-                match report.outcomes.into_iter().nth(2).expect("three outcomes") {
-                    Outcome::Exact { result, .. } => result,
-                    other => panic!("the cached repeat must be exact, got {other:?}"),
-                }
+            Kind::Device(entry) => {
+                entries::run(&entry, graph, source, delta0, Probe::default()).result
             }
             Kind::Adds => {
                 let mut device = Device::new(DeviceConfig::test_tiny());
@@ -237,7 +134,10 @@ impl Implementation {
     pub fn traced(&self) -> bool {
         matches!(
             self.kind,
-            Kind::DeltaStepping | Kind::Gpu(Variant::Rdbs(_)) | Kind::CpuParallel | Kind::CpuAsync
+            Kind::DeltaStepping
+                | Kind::Device(Entry { kind: EntryKind::Gpu(Variant::Rdbs(_)), .. })
+                | Kind::CpuParallel
+                | Kind::CpuAsync
         )
     }
 }
@@ -246,31 +146,25 @@ impl Implementation {
 /// oracle itself is included as a self-check of the harness.
 pub fn all() -> Vec<Implementation> {
     use Family::*;
-    let imp = |id, family, kind| Implementation { id, family, kind, frontier: None };
-    vec![
+    let imp = |id, family, kind| Implementation { id, family, kind };
+    let device = |entry: Entry| {
+        let family = match entry.kind {
+            EntryKind::Gpu(_) | EntryKind::GpuRefault(_) => Gpu,
+            EntryKind::MultiGpu(_) => MultiGpu,
+            EntryKind::Service(_) => Service,
+        };
+        imp(entry.id, family, Kind::Device(entry))
+    };
+    let mut v = vec![
         imp("seq/dijkstra", Seq, Kind::Dijkstra),
         imp("seq/bellman-ford", Seq, Kind::BellmanFord),
         imp("seq/dial", Seq, Kind::Dial),
         imp("seq/delta-stepping", Seq, Kind::DeltaStepping),
         imp("cpu/parallel-delta", Cpu, Kind::CpuParallel),
         imp("cpu/async-bucket", Cpu, Kind::CpuAsync),
-        imp("gpu/bl", Gpu, Kind::Gpu(Variant::Baseline)),
-        imp("gpu/sync-delta", Gpu, Kind::Gpu(Variant::Rdbs(RdbsConfig::sync_delta()))),
-        imp("gpu/basyn", Gpu, Kind::Gpu(Variant::Rdbs(RdbsConfig::basyn_only()))),
-        imp("gpu/basyn-pro", Gpu, Kind::Gpu(Variant::Rdbs(RdbsConfig::basyn_pro()))),
-        imp("gpu/basyn-adwl", Gpu, Kind::Gpu(Variant::Rdbs(RdbsConfig::basyn_adwl()))),
-        imp("gpu/full", Gpu, Kind::Gpu(Variant::Rdbs(RdbsConfig::full()))),
-        imp(
-            "gpu/full-mlmq",
-            Gpu,
-            Kind::Gpu(Variant::Rdbs(RdbsConfig::full().with_frontier(FrontierKind::Mlmq))),
-        ),
-        imp("multi-gpu/k1", MultiGpu, Kind::MultiGpu(1)),
-        imp("multi-gpu/k2", MultiGpu, Kind::MultiGpu(2)),
-        imp("multi-gpu/k4", MultiGpu, Kind::MultiGpu(4)),
-        imp("service/pooled", Service, Kind::Service),
-        imp("service/concurrent", Service, Kind::ServiceConcurrent),
-        imp("service/traffic", Service, Kind::ServiceTraffic),
+    ];
+    v.extend(entries::select(entries::VERIFY, &None, None).into_iter().map(device));
+    v.extend([
         imp("baseline/adds", Baseline, Kind::Adds),
         imp("baseline/near-far", Baseline, Kind::NearFar),
         imp("baseline/frontier-bf", Baseline, Kind::FrontierBf),
@@ -278,7 +172,8 @@ pub fn all() -> Vec<Implementation> {
         imp("baseline/rho-stepping", Baseline, Kind::RhoStepping),
         imp("baseline/sep-graph", Baseline, Kind::SepGraph),
         imp("framework/sssp", Framework, Kind::Framework),
-    ]
+    ]);
+    v
 }
 
 /// [`all()`] plus the deliberately broken implementation.
@@ -288,7 +183,6 @@ pub fn with_faults() -> Vec<Implementation> {
         id: FAULT_OFF_BY_ONE,
         family: Family::Fault,
         kind: Kind::FaultOffByOne,
-        frontier: None,
     });
     v
 }

@@ -3,6 +3,7 @@
 //! the Dijkstra oracle. Panics inside an implementation are caught and
 //! reported as failures rather than aborting the sweep.
 
+use crate::entries::substring;
 use crate::graphs::{self, GraphCase};
 use crate::registry::{self, Implementation};
 use rdbs_core::seq::dijkstra;
@@ -113,10 +114,7 @@ pub fn run_matrix(
     let impls: Vec<Implementation> =
         if opts.include_faults { registry::with_faults() } else { registry::all() }
             .into_iter()
-            .filter(|i| match &opts.impl_filter {
-                Some(f) => i.id.contains(f.as_str()),
-                None => true,
-            })
+            .filter(|i| substring(&opts.impl_filter, i.id))
             .map(|i| match opts.frontier {
                 Some(kind) => i.with_frontier(kind),
                 None => i,
@@ -126,10 +124,7 @@ pub fn run_matrix(
     let families: Vec<GraphCase> =
         if opts.quick { graphs::quick_families() } else { graphs::families() }
             .into_iter()
-            .filter(|g| match &opts.graph_filter {
-                Some(f) => g.name.contains(f.as_str()),
-                None => true,
-            })
+            .filter(|g| substring(&opts.graph_filter, g.name))
             .collect();
 
     let mut report =

@@ -9,107 +9,23 @@
 //! BASYN's barrier-free phase 1 (§4.3) correct on real hardware, not
 //! just under the simulator's sequential execution. A cell is green
 //! only when the entry point's answer matches the Dijkstra oracle
-//! *and* its run produced no [`SanViolation`].
+//! *and* its run produced no [`SanViolation`]. The entries are ids in
+//! the one entry table ([`crate::entries`]), run through
+//! [`entries::run`] with a sanitizer probe.
 //!
 //! [`planted_race_specimen`] is the detector's liveness check: a
 //! deliberately racy kernel that must produce a violation carrying
 //! lane ids, the buffer label and the address — run first by the CLI
 //! so "zero violations" can never mean "detector asleep".
 
+use crate::entries::{self, substring, Entry, Probe};
 use crate::graphs::{self, GraphCase};
-use rdbs_core::gpu::{
-    run_gpu_on, FrontierKind, MultiGpuConfig, MultiGpuState, RdbsConfig, Variant,
-};
+use rdbs_core::gpu::FrontierKind;
 use rdbs_core::seq::dijkstra;
-use rdbs_core::service::{ServiceConfig, SsspService};
 use rdbs_core::validate::check_against;
 use rdbs_core::{Csr, VertexId};
 use rdbs_gpu_sim::{Device, DeviceConfig, SanCheck, SanConfig, SanViolation};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// One sanitized entry point.
-#[derive(Clone, Copy, Debug)]
-pub struct SanEntry {
-    /// Stable id used in reports and filters (e.g. `gpu/full`).
-    pub id: &'static str,
-    pub(crate) kind: EntryKind,
-    /// `--frontier` override: sanitize every RDBS-backed surface of
-    /// this entry on this frontier layout instead of its own.
-    frontier: Option<FrontierKind>,
-}
-
-impl SanEntry {
-    /// Sanitize this entry on `kind`'s frontier layout (`--frontier`).
-    #[must_use]
-    pub fn with_frontier(mut self, kind: FrontierKind) -> Self {
-        self.frontier = Some(kind);
-        self
-    }
-
-    pub(crate) fn apply_variant(&self, v: Variant) -> Variant {
-        match (self.frontier, v) {
-            (Some(kind), Variant::Rdbs(cfg)) => Variant::Rdbs(cfg.with_frontier(kind)),
-            (_, v) => v,
-        }
-    }
-
-    pub(crate) fn apply_service(&self, config: ServiceConfig) -> ServiceConfig {
-        match self.frontier {
-            Some(kind) => config.with_frontier(kind),
-            None => config,
-        }
-    }
-}
-
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum EntryKind {
-    Gpu(Variant),
-    MultiGpu(usize),
-    /// The resident batched service's pooled entry point: a warm-up
-    /// query then the real one, so the sanitized run crosses pool
-    /// recycling (the uninit check's main quarry).
-    Service,
-    /// The service's concurrent scheduler: a four-source batch spread
-    /// across four command streams, so the sanitized run interleaves
-    /// in-flight queries — any cross-lane buffer sharing shows up as a
-    /// race or uninit read.
-    ServiceConcurrent,
-}
-
-/// Every GPU entry point: the baseline, all RDBS ablation toggles,
-/// multi-GPU at k ∈ {1, 2, 4}, and the pooled service.
-pub fn san_entries() -> Vec<SanEntry> {
-    let entry = |id, kind| SanEntry { id, kind, frontier: None };
-    vec![
-        entry("gpu/bl", EntryKind::Gpu(Variant::Baseline)),
-        entry("gpu/sync-delta", EntryKind::Gpu(Variant::Rdbs(RdbsConfig::sync_delta()))),
-        entry("gpu/basyn", EntryKind::Gpu(Variant::Rdbs(RdbsConfig::basyn_only()))),
-        entry("gpu/basyn-pro", EntryKind::Gpu(Variant::Rdbs(RdbsConfig::basyn_pro()))),
-        entry("gpu/basyn-adwl", EntryKind::Gpu(Variant::Rdbs(RdbsConfig::basyn_adwl()))),
-        entry("gpu/full", EntryKind::Gpu(Variant::Rdbs(RdbsConfig::full()))),
-        entry("multi-gpu/k1", EntryKind::MultiGpu(1)),
-        entry("multi-gpu/k2", EntryKind::MultiGpu(2)),
-        entry("multi-gpu/k4", EntryKind::MultiGpu(4)),
-        entry("service/pooled", EntryKind::Service),
-        entry("service/concurrent", EntryKind::ServiceConcurrent),
-    ]
-}
-
-/// The reduced sweep: the synchronous baseline, the fully asynchronous
-/// single-device entry (widest race surface), the multi-GPU exchange,
-/// the pooled service (buffer-recycle surface) and the concurrent
-/// scheduler (cross-lane isolation surface).
-pub fn quick_san_entries() -> Vec<SanEntry> {
-    san_entries()
-        .into_iter()
-        .filter(|e| {
-            matches!(
-                e.id,
-                "gpu/bl" | "gpu/full" | "multi-gpu/k2" | "service/pooled" | "service/concurrent"
-            )
-        })
-        .collect()
-}
 
 /// What to sweep.
 #[derive(Clone, Debug, Default)]
@@ -168,101 +84,37 @@ impl SanMatrixReport {
     }
 }
 
-fn substring(filter: &Option<String>, s: &str) -> bool {
-    match filter {
-        Some(f) => s.contains(f.as_str()),
-        None => true,
-    }
-}
-
 /// Run one entry point on `graph` with the sanitizer armed from
 /// before the first device allocation.
-pub fn run_cell(entry: &SanEntry, graph: &Csr, oracle_dist: &[u32], source: VertexId) -> SanCell {
-    let outcome = catch_unwind(AssertUnwindSafe(|| match entry.kind {
-        EntryKind::Gpu(variant) => {
-            let mut device = Device::new(DeviceConfig::test_tiny());
-            device.arm_sanitizer(SanConfig::default());
-            let run = run_gpu_on(&mut device, graph, source, entry.apply_variant(variant));
-            (run.result.dist, device.san_violations().to_vec(), device.san_total())
-        }
-        EntryKind::MultiGpu(k) => {
-            let config = MultiGpuConfig {
-                num_devices: k,
-                device: DeviceConfig::test_tiny(),
-                interconnect_gbps: 50.0,
-                exchange_latency_us: 5.0,
-                delta0: None,
-            };
-            let mut state = MultiGpuState::new(graph, &config);
-            state.arm_sanitizer(SanConfig::default());
-            let run = state.run(source);
-            let violations: Vec<SanViolation> =
-                state.san_violations().into_iter().map(|(_, v)| v).collect();
-            let total = state.san_total();
-            (run.result.dist, violations, total)
-        }
-        EntryKind::Service => {
-            let config = entry.apply_service(ServiceConfig::rdbs(DeviceConfig::test_tiny()));
-            let mut svc = SsspService::new(graph, config);
-            svc.arm_sanitizer(SanConfig::default());
-            // Warm query first: the real query then runs entirely on
-            // recycled (re-poisoned) pool buffers.
-            let n = graph.num_vertices();
-            let warm = VertexId::try_from((source as usize + 1) % n).expect("vertex id fits");
-            let _ = svc.query(warm);
-            let result = svc.query(source);
-            (result.dist, svc.san_violations(), svc.san_total())
-        }
-        EntryKind::ServiceConcurrent => {
-            let config =
-                entry.apply_service(ServiceConfig::rdbs(DeviceConfig::test_tiny()).with_streams(4));
-            let mut svc = SsspService::new(graph, config);
-            svc.arm_sanitizer(SanConfig::default());
-            // Four sources in flight at once: the scored one plus
-            // three offsets, each on its own leased lane.
-            let n = graph.num_vertices();
-            let other = |k: usize| VertexId::try_from((source as usize + k) % n).expect("fits");
-            let batch = [source, other(1), other(2), other(3)];
-            let mut results = svc.batch(&batch);
-            let result = results.swap_remove(0);
-            (result.dist, svc.san_violations(), svc.san_total())
-        }
-    }));
+pub fn run_cell(entry: &Entry, graph: &Csr, oracle_dist: &[u32], source: VertexId) -> SanCell {
+    let probe = Probe { san: true, ..Probe::default() };
+    let outcome =
+        catch_unwind(AssertUnwindSafe(|| entries::run(entry, graph, source, None, probe)));
+    let mut cell = SanCell {
+        entry_id: entry.id,
+        graph: "",
+        source,
+        violations: Vec::new(),
+        total: 0,
+        mismatch: None,
+        panic: None,
+    };
     match outcome {
-        Ok((dist, violations, total)) => {
-            let mismatch = check_against(oracle_dist, &dist).err().map(|m| m.to_string());
-            SanCell {
-                entry_id: entry.id,
-                graph: "",
-                source,
-                violations,
-                total,
-                mismatch,
-                panic: None,
-            }
+        Ok(run) => {
+            cell.mismatch =
+                check_against(oracle_dist, &run.result.dist).err().map(|m| m.to_string());
+            cell.violations = run.violations;
+            cell.total = run.san_total;
         }
-        Err(payload) => SanCell {
-            entry_id: entry.id,
-            graph: "",
-            source,
-            violations: Vec::new(),
-            total: 0,
-            mismatch: None,
-            panic: Some(crate::runner::panic_message(payload.as_ref())),
-        },
+        Err(payload) => cell.panic = Some(crate::runner::panic_message(payload.as_ref())),
     }
+    cell
 }
 
 /// Sweep the sanitized matrix. `progress` is called once per cell.
 pub fn run_sanitize(opts: &SanOptions, mut progress: impl FnMut(&SanCell)) -> SanMatrixReport {
-    let entries: Vec<SanEntry> = if opts.quick { quick_san_entries() } else { san_entries() }
-        .into_iter()
-        .filter(|e| substring(&opts.entry_filter, e.id))
-        .map(|e| match opts.frontier {
-            Some(kind) => e.with_frontier(kind),
-            None => e,
-        })
-        .collect();
+    let ids = if opts.quick { entries::SANITIZE_QUICK } else { entries::SANITIZE };
+    let entries = entries::select(ids, &opts.entry_filter, opts.frontier);
     let families: Vec<GraphCase> =
         if opts.quick { graphs::quick_families() } else { graphs::families() }
             .into_iter()

@@ -6,11 +6,10 @@
 //! concurrent resident service (`service/concurrent`), for every
 //! frontier layout.
 
+use rdbs_conformance::entries::{find, run, Probe};
 use rdbs_conformance::graphs::quick_families;
-use rdbs_core::gpu::{run_gpu_on, FrontierKind, RdbsConfig, Variant};
-use rdbs_core::service::{ServiceConfig, SsspService};
-use rdbs_core::{Csr, VertexId};
-use rdbs_gpu_sim::{AccessIr, AccessProfile, Device, DeviceConfig, SanConfig, SanViolation};
+use rdbs_core::gpu::FrontierKind;
+use rdbs_gpu_sim::{AccessIr, AccessProfile, SanViolation};
 
 /// Which consumers a run arms.
 #[derive(Clone, Copy)]
@@ -47,58 +46,32 @@ fn certificates(irs: &[AccessIr]) -> String {
     irs.iter().map(|ir| format!("{:?}\n", rdbs_statan::verify(ir))).collect()
 }
 
-/// `gpu/full` on one device.
-fn gpu_full(graph: &Csr, source: VertexId, frontier: FrontierKind, arm: Arm) -> Observed {
-    let mut device = Device::new(DeviceConfig::test_tiny());
-    if arm.san {
-        device.arm_sanitizer(SanConfig::default());
-    }
-    if arm.ir {
-        device.arm_ir();
-    }
-    let variant = Variant::Rdbs(RdbsConfig::full().with_frontier(frontier));
-    let run = run_gpu_on(&mut device, graph, source, variant);
+/// One entry of the shared table, run with `arm`'s flags as the probe.
+fn observe(
+    id: &str,
+    graph: &rdbs_core::Csr,
+    source: u32,
+    frontier: FrontierKind,
+    arm: Arm,
+) -> Observed {
+    let entry = find(id).expect("entry id").with_frontier(frontier);
+    let run = run(&entry, graph, source, None, Probe { san: arm.san, ir: arm.ir, perm_seed: None });
     Observed {
         dist: run.result.dist,
-        violations: arm.san.then(|| (device.san_violations().to_vec(), device.san_total())),
-        rankings: device.san_profile().map(rankings),
-        certificates: device.take_ir().map(|ir| certificates(&[ir])),
+        violations: arm.san.then_some((run.violations, run.san_total)),
+        rankings: run.profile.as_ref().map(rankings),
+        certificates: arm.ir.then(|| certificates(&run.irs)),
     }
 }
 
-/// `service/concurrent`: four sources in flight on four streams.
-fn service_concurrent(graph: &Csr, source: VertexId, frontier: FrontierKind, arm: Arm) -> Observed {
-    let config =
-        ServiceConfig::rdbs(DeviceConfig::test_tiny()).with_streams(4).with_frontier(frontier);
-    let mut svc = SsspService::new(graph, config);
-    if arm.san {
-        svc.arm_sanitizer(SanConfig::default());
-    }
-    if arm.ir {
-        svc.arm_ir();
-    }
-    let n = graph.num_vertices();
-    let other = |k: usize| VertexId::try_from((source as usize + k) % n).expect("fits");
-    let mut results = svc.batch(&[source, other(1), other(2), other(3)]);
-    Observed {
-        dist: results.swap_remove(0).dist,
-        violations: arm.san.then(|| (svc.san_violations(), svc.san_total())),
-        rankings: svc.san_profile().map(rankings),
-        certificates: arm.ir.then(|| certificates(&svc.take_irs())),
-    }
-}
-
-fn assert_both_armed_equals_each_alone(
-    name: &str,
-    run: impl Fn(&Csr, VertexId, FrontierKind, Arm) -> Observed,
-) {
+fn assert_both_armed_equals_each_alone(name: &str) {
     let family = &quick_families()[0];
     let graph = family.build();
     let source = family.sources(graph.num_vertices())[0];
     for frontier in FrontierKind::ALL {
-        let san = run(&graph, source, frontier, Arm { san: true, ir: false });
-        let ir = run(&graph, source, frontier, Arm { san: false, ir: true });
-        let both = run(&graph, source, frontier, Arm { san: true, ir: true });
+        let san = observe(name, &graph, source, frontier, Arm { san: true, ir: false });
+        let ir = observe(name, &graph, source, frontier, Arm { san: false, ir: true });
+        let both = observe(name, &graph, source, frontier, Arm { san: true, ir: true });
         assert!(san.rankings.is_some() && ir.certificates.is_some(), "{name}@{frontier}");
         assert_eq!(both.dist, san.dist, "{name}@{frontier}: arming moved the answer");
         assert_eq!(both.dist, ir.dist, "{name}@{frontier}: arming moved the answer");
@@ -110,10 +83,10 @@ fn assert_both_armed_equals_each_alone(
 
 #[test]
 fn gpu_entry_reports_the_same_armed_together() {
-    assert_both_armed_equals_each_alone("gpu/full", gpu_full);
+    assert_both_armed_equals_each_alone("gpu/full");
 }
 
 #[test]
 fn concurrent_service_reports_the_same_armed_together() {
-    assert_both_armed_equals_each_alone("service/concurrent", service_concurrent);
+    assert_both_armed_equals_each_alone("service/concurrent");
 }

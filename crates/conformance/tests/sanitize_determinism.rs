@@ -6,8 +6,9 @@
 //! flaky signal.
 
 use proptest::prelude::*;
+use rdbs_conformance::entries::{select, SANITIZE};
 use rdbs_conformance::graphs::quick_families;
-use rdbs_conformance::sanitize::{planted_race_specimen, run_cell, san_entries};
+use rdbs_conformance::sanitize::{planted_race_specimen, run_cell};
 use rdbs_core::seq::dijkstra;
 
 /// Render everything observable about a cell, violations included,
@@ -32,7 +33,7 @@ proptest! {
         family_pick in 0usize..64,
         source_pick in 0usize..8,
     ) {
-        let entries = san_entries();
+        let entries = select(SANITIZE, &None, None);
         let entry = &entries[entry_pick % entries.len()];
         let families = quick_families();
         let family = &families[family_pick % families.len()];

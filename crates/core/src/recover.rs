@@ -29,6 +29,17 @@
 //! ladder still never returns silently wrong, because [`finish`]
 //! audits the rerun's output and falls through to the sequential rung
 //! when the re-faulted rerun is itself corrupt.
+//!
+//! Three entry shapes reach the ladder: one device
+//! ([`run_gpu_recovered`] and its budgeted / refaulting forms), the
+//! multi-GPU exchange ([`run_multi_recovered`]), and the resident
+//! service ([`run_service_recovered`]), which takes the scored attempt
+//! as a closure. This module defines no service workloads of its own:
+//! each conformance entry id (`service/pooled`, `service/concurrent`,
+//! `service/traffic`, `service/mlmq-spill`) names exactly one scenario
+//! in `rdbs-conformance`'s entry table, and every sweep — the chaos
+//! matrix here, and the unrecovered sanitizer, IR and schedule-fuzz
+//! runs — flies that same scenario.
 
 use crate::gpu::{
     multi_gpu_sssp, multi_gpu_sssp_faulted, run_gpu_on, MultiGpuConfig, RdbsConfig, Variant,
@@ -301,109 +312,25 @@ fn run_gpu_recovered_with(
 }
 
 /// Run the resident batched service ([`crate::service`]) under
-/// `fault`, audit, and recover. The faulted query runs *after* a
-/// fault-free warm-up query, so the attempt exercises recycled pooled
-/// buffers — the reuse path the chaos matrix must show can never turn
-/// a fault into a silent wrong answer. A typed [`ServiceError`]
-/// (e.g. a queue overflow) counts as a detection and is recorded in
-/// the report's `panic` field alongside real panics.
+/// `fault`, audit, and recover: build the service, warm its pooled
+/// buffers with one fault-free query ([`warm_up`]), arm `fault`, run
+/// `attempt` under `catch_unwind`, disarm, and hand the outcome to the
+/// ladder. The faulted attempt therefore exercises recycled pooled
+/// buffers — the reuse path that must never turn a fault into a
+/// silent wrong answer. `attempt` returns the scored answer, or `Err`
+/// with the text of a typed detection (e.g. a [`ServiceError`] queue
+/// overflow), recorded in the report's `panic` field alongside real
+/// panics. Detection otherwise rests on the monotonicity audit (maxed
+/// across every in-flight query of the attempt), the final O(V+E)
+/// audit of the scored answer, and panic capture. Rung 2 is a
+/// fault-free synchronous rerun on a fresh device.
+///
+/// The scenarios the conformance sweeps fly through this — a pooled
+/// query, a mid-batch query on several streams, a cache replay on the
+/// traffic tier — live with their entry ids in `rdbs-conformance`.
 ///
 /// [`ServiceError`]: crate::service::ServiceError
 pub fn run_service_recovered(
-    graph: &Csr,
-    source: VertexId,
-    config: ServiceConfig,
-    fault: Option<FaultSpec>,
-) -> RecoveredRun {
-    run_service_attempt(graph, source, config, fault, |service| {
-        service.try_query(source).map_err(|e| e.to_string())
-    })
-}
-
-/// Run the resident service's scheduler on several streams under
-/// `fault`, audit, and recover. The scored query flies as the middle
-/// element of a three-source batch spread across `config.streams`
-/// command streams, after a fault-free warm-up — so injections land
-/// while other queries are in flight on sibling streams and the
-/// detection + ladder guarantee must hold with interleaved bucket
-/// execution. The batch itself never errors (overflow escalates on
-/// device, then degrades to a host oracle), so detection here rests on
-/// the monotonicity audit (maxed across every in-flight query of the
-/// batch), the final O(V+E) audit of the scored element, and panic
-/// capture.
-pub fn run_service_concurrent_recovered(
-    graph: &Csr,
-    source: VertexId,
-    config: ServiceConfig,
-    fault: Option<FaultSpec>,
-) -> RecoveredRun {
-    let n = graph.num_vertices() as u32;
-    let batch = [(source + 2) % n, source, (source + 3) % n];
-    run_service_attempt(graph, source, config, fault, |service| {
-        Ok(service.batch(&batch).swap_remove(1))
-    })
-}
-
-/// Run the service's open-loop *traffic tier* under `fault`, audit,
-/// and recover. The scored query arrives first (an empty admission
-/// predictor always admits it), a sibling query runs alongside, a
-/// past-deadline query exercises the typed shedding path, and a late
-/// repeat of the scored source is answered from the answer cache — so
-/// the graded result flows through the cache-replay path and the
-/// detection + ladder guarantee must hold for cached answers too: a
-/// corrupted device answer must never hide behind a bit-identical
-/// replay.
-pub fn run_service_traffic_recovered(
-    graph: &Csr,
-    source: VertexId,
-    config: ServiceConfig,
-    fault: Option<FaultSpec>,
-) -> RecoveredRun {
-    use crate::service::cache::CacheConfig;
-    use crate::service::traffic::{ArrivalProcess, Outcome, Query, SourceMix, TrafficConfig};
-
-    let n = graph.num_vertices() as u32;
-    let wrap = |k: u32| (source + k) % n;
-    let generous = 1e12;
-    let queries = [
-        Query { source, arrival_ms: 0.0, deadline_ms: generous },
-        Query { source: wrap(2), arrival_ms: 0.0, deadline_ms: generous },
-        // Deadline already blown at arrival: deterministically shed
-        // (typed), never silently answered late.
-        Query { source: wrap(3), arrival_ms: 0.01, deadline_ms: 0.0 },
-        // Arrives long after the scored answer completes: served from
-        // the cache, bit-identical to the faulted attempt's answer.
-        Query { source, arrival_ms: 1e6, deadline_ms: generous },
-    ];
-    let cfg = TrafficConfig {
-        arrivals: ArrivalProcess::Poisson { qps: 1.0 }, // unused: explicit queries
-        offered: queries.len(),
-        seed: 0,
-        slo_ms: generous,
-        tight_slo_ms: None,
-        tight_every: 0,
-        sources: SourceMix::Uniform,
-        shed_margin: 1.0,
-        cache: Some(CacheConfig::default()),
-        approx_on_shed: false,
-    };
-    run_service_attempt(graph, source, config, fault, |service| {
-        let report = service.serve_queries(&queries, &cfg);
-        let replayed = report.outcomes.into_iter().nth(3).expect("four outcomes");
-        match replayed {
-            Outcome::Exact { result, .. } => Ok(result),
-            other => panic!("the late repeat must be answered exactly, got {other:?}"),
-        }
-    })
-}
-
-/// The shared skeleton of the service entries: build the service, warm
-/// its pooled buffers with one fault-free query, arm `fault`, run
-/// `attempt` under `catch_unwind`, disarm, and hand the outcome to the
-/// ladder. `attempt` returns the scored answer, or `Err` with the text
-/// of a typed detection; a panic counts as a detection too. Rung 2 is
-/// a fault-free synchronous rerun on a fresh device.
-fn run_service_attempt(
     graph: &Csr,
     source: VertexId,
     config: ServiceConfig,
@@ -413,10 +340,7 @@ fn run_service_attempt(
     let device_config = config.device.clone();
     let delta0 = config.delta0;
     let mut service = SsspService::new(graph, config);
-    let n = graph.num_vertices() as u32;
-    if n > 1 {
-        let _ = service.query((source + 1) % n); // warm the pooled buffers
-    }
+    warm_up(&mut service, source);
     if let Some(spec) = fault {
         service.arm_faults(spec);
     }
@@ -443,6 +367,16 @@ fn run_service_attempt(
         &rerun,
         RecoveryBudget::default(),
     )
+}
+
+/// The fault-free warm-up every service scenario opens with: one
+/// query on the source after `source`, so the scored attempt runs on
+/// recycled pooled buffers.
+pub fn warm_up(service: &mut SsspService, source: VertexId) {
+    let n = service.num_vertices() as u32;
+    if n > 1 {
+        let _ = service.query((source + 1) % n);
+    }
 }
 
 /// Run the multi-GPU entry point under `fault` (armed on device 0),
@@ -650,6 +584,11 @@ mod tests {
         DeviceConfig::test_tiny()
     }
 
+    /// The pooled attempt: one query on the warmed service.
+    fn pooled(source: VertexId) -> impl FnOnce(&mut SsspService) -> Result<SsspResult, String> {
+        move |svc| svc.try_query(source).map_err(|e| e.to_string())
+    }
+
     #[test]
     fn fault_free_run_is_clean() {
         let g = graph(1);
@@ -729,7 +668,8 @@ mod tests {
         let mut detected_any = false;
         for seed in 0..4 {
             let spec = FaultSpec::new(FaultModel::DroppedAtomicMin, 0.3, seed);
-            let run = run_service_recovered(&g, 0, ServiceConfig::rdbs(tiny()), Some(spec));
+            let run =
+                run_service_recovered(&g, 0, ServiceConfig::rdbs(tiny()), Some(spec), pooled(0));
             check_against_dijkstra(&g, 0, &run.result.dist)
                 .unwrap_or_else(|m| panic!("seed {seed}: {m}\n{}", run.report));
             detected_any |= run.report.detected();
@@ -739,15 +679,17 @@ mod tests {
 
     #[test]
     fn concurrent_batches_are_never_silently_wrong() {
-        // Faults land while three queries are in flight across four
-        // command streams — interleaved bucket execution must not
+        // Faults land while three queries are in flight (the scored
+        // one mid-batch) across four command streams — interleaved bucket execution must not
         // weaken the zero-silent-wrong guarantee for the scored query.
         let g = graph(10);
         let mut detected_any = false;
         for seed in 0..4 {
             let spec = FaultSpec::new(FaultModel::DroppedAtomicMin, 0.3, seed);
             let config = ServiceConfig::rdbs(tiny()).with_streams(4);
-            let run = run_service_concurrent_recovered(&g, 0, config, Some(spec));
+            let run = run_service_recovered(&g, 0, config, Some(spec), |svc| {
+                Ok(svc.batch(&[2, 0, 3]).swap_remove(1))
+            });
             check_against_dijkstra(&g, 0, &run.result.dist)
                 .unwrap_or_else(|m| panic!("seed {seed}: {m}\n{}", run.report));
             detected_any |= run.report.detected();
@@ -758,7 +700,7 @@ mod tests {
     #[test]
     fn service_fault_free_run_is_clean() {
         let g = graph(8);
-        let run = run_service_recovered(&g, 3, ServiceConfig::rdbs(tiny()), None);
+        let run = run_service_recovered(&g, 3, ServiceConfig::rdbs(tiny()), None, pooled(3));
         assert_eq!(run.report.outcome, RecoveryOutcome::Clean);
         assert!(!run.report.detected());
         check_against_dijkstra(&g, 3, &run.result.dist).unwrap();

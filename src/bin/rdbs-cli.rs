@@ -985,8 +985,7 @@ fault models:
 entry points:
   {entries}",
         models = rdbs::sim::FaultModel::ALL.map(|m| m.name()).join(" "),
-        entries =
-            rdbs::conformance::chaos_entries().iter().map(|e| e.id).collect::<Vec<_>>().join(" ")
+        entries = rdbs::conformance::entries::CHAOS.join(" ")
     );
     exit(2)
 }
@@ -1186,9 +1185,10 @@ fn fuzz_usage() -> ! {
     eprintln!(
         "usage: rdbs-cli fuzz-schedules [options]
 
-Re-execute every GPU chaos entry under seeded lane/wave interleaving
-permutations with the memory-model sanitizer armed, checking each
-permuted run against the Dijkstra oracle. A planted-race specimen is
+Re-execute every single-device chaos entry (each service entry runs
+its own scenario) under seeded lane/wave interleaving permutations
+with the memory-model sanitizer armed, checking each permuted run
+against the Dijkstra oracle. A planted-race specimen is
 re-checked under every permutation seed to prove the detector stays
 alive when the schedule shifts. Exits non-zero if any permuted run is
 wrong, races, or the specimen goes undetected. Deterministic in
@@ -1198,9 +1198,13 @@ wrong, races, or the specimen goes undetected. Deterministic in
   --entry SUBSTR      only entry points whose id contains SUBSTR
   --frontier single|mlmq
                       fuzz every RDBS-backed entry on this device
-                      frontier layout
+                      frontier layout (service/mlmq-spill keeps its own)
   --perms N           permutation seeds per (entry, graph) (default 32)
-  --seed N            base seed the permutations derive from (default 1)",
+  --seed N            base seed the permutations derive from (default 1)
+
+entry points:
+  {entries}",
+        entries = rdbs::conformance::entries::FUZZ.join(" ")
     );
     exit(2)
 }
@@ -1290,8 +1294,7 @@ byte.
 
 entry points:
   {entries}",
-        entries =
-            rdbs::conformance::san_entries().iter().map(|e| e.id).collect::<Vec<_>>().join(" ")
+        entries = rdbs::conformance::entries::SANITIZE.join(" ")
     );
     exit(2)
 }
