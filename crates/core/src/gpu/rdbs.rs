@@ -8,15 +8,20 @@
 //!   small/medium/large workload lists. With BASYN it runs inside one
 //!   persistent-kernel session — no per-layer launch, no barrier,
 //!   updates immediately visible (§4.3); without, every layer is a
-//!   fresh kernel launch plus a grid barrier. With ADWL, small
-//!   vertices are handled by their parent thread, medium ones by a
-//!   32-lane warp gang, large ones by dynamic-parallelism child
-//!   kernels with one thread per light edge (§4.2, Fig. 5).
+//!   fresh kernel launch plus a grid barrier. With ADWL, medium
+//!   vertices are handled by a 32-lane warp gang, large ones by
+//!   dynamic-parallelism child kernels with one thread per light edge
+//!   (§4.2, Fig. 5). Small vertices, one thread each in the paper, get
+//!   a sub-warp gang matched to the wave's mean light degree, widened
+//!   only while the wave leaves device lanes idle
+//!   ([`crate::workload::gang_width`]); without ADWL every vertex
+//!   keeps one thread.
 //! * **Phases 2 & 3** are fused into one synchronous pass (kernel
 //!   fusion, §4.2): relax heavy edges of every vertex settled in the
-//!   current bucket, then collect the next bucket's active vertices
-//!   into the workload lists — jumping over empty distance windows via
-//!   an `atomicMin` reduction.
+//!   current bucket (a gang per vertex matched to the bucket's mean
+//!   degree, up to a warp), then collect the next bucket's active
+//!   vertices into the workload lists — jumping over empty distance
+//!   windows via an `atomicMin` reduction.
 //! * Between buckets the width Δᵢ is readjusted by Eq. 1–2
 //!   ([`crate::adaptive_delta`]), and the heavy-edge offsets are
 //!   recomputed on-device when the width changed (§4.1: "the offset of
@@ -36,6 +41,7 @@ use super::buffers::{DeviceQueue, GraphBuffers, QueueOverflow};
 use super::frontier::{AnyFrontier, Frontier, FrontierKind, FrontierView, ScatterMode};
 use crate::adaptive_delta::DeltaController;
 use crate::stats::{trace as relax_trace, SsspResult, UpdateStats};
+use crate::workload::{gang_width, occupancy_cap, target_lanes};
 use crate::{default_delta, Csr, Dist, VertexId, Weight, INF};
 use rdbs_gpu_sim::{Buf, Device, Lane};
 use std::cell::Cell;
@@ -264,7 +270,7 @@ pub fn rdbs(device: &mut Device, graph: &Csr, source: VertexId, config: RdbsConf
     let width0 = config.delta0.unwrap_or_else(|| default_delta(graph));
     // Utilization floor: a bucket that cannot fill a quarter of the
     // device's lanes doubles Δ (§4.3's utilization driver).
-    let lanes = device.config().num_sms as u64 * 32 * 2;
+    let lanes = target_lanes(device.config().num_sms);
     let mut controller = DeltaController::new(width0).with_target_parallelism(lanes);
     let gb = GraphBuffers::upload(device, graph);
     let scratch = RdbsScratch::new(device, n, config);
@@ -391,6 +397,7 @@ impl RdbsDriver {
         // ---------------- Phase 1: light edges ----------------
         let active_before = inst.active.get();
         let mut bucket_members: Vec<VertexId> = Vec::new();
+        let lanes = target_lanes(device.config().num_sms);
         loop {
             let layer = frontier.drain_layer(device, graph);
             bucket_members.extend(layer.new_members);
@@ -404,10 +411,12 @@ impl RdbsDriver {
                 }
                 any = true;
                 trace.threads += phase1_wave_threads(graph, c, items, width, config.pro);
+                let gang = phase1_gang(graph, c, items, width, config, lanes);
                 run_phase1_list(
                     device,
                     config.basyn,
                     c,
+                    gang,
                     items,
                     gb,
                     frontier.relax_view(),
@@ -581,7 +590,19 @@ fn audit_bucket(
     }
 }
 
-/// Lanes a phase-1 wave will use (T_i accounting).
+/// Edges phase 1 walks for `v`: its light prefix under PRO, every
+/// edge (each weight-checked) without.
+fn phase1_edges(graph: &Csr, v: VertexId, width: Weight, pro: bool) -> u64 {
+    if pro {
+        graph.light_degree(v, width) as u64
+    } else {
+        graph.degree(v) as u64
+    }
+}
+
+/// Lanes a phase-1 wave will use (T_i accounting). A small item
+/// counts as one thread whatever its gang width, so Eq. 1 and the
+/// utilization floor see the frontier, not the widening.
 fn phase1_wave_threads(
     graph: &Csr,
     class: usize,
@@ -592,12 +613,32 @@ fn phase1_wave_threads(
     match class {
         0 => items.len() as u64,
         1 => items.len() as u64 * 32,
-        _ => items
-            .iter()
-            .map(|&v| {
-                1 + if pro { graph.light_degree(v, width) as u64 } else { graph.degree(v) as u64 }
-            })
-            .sum(),
+        _ => items.iter().map(|&v| 1 + phase1_edges(graph, v, width, pro)).sum(),
+    }
+}
+
+/// Gang width of a phase-1 wave. Small items get a sub-warp gang
+/// matched to their mean edge count, widened only up to
+/// [`occupancy_cap`] of the device's `lanes` (with ADWL off every
+/// vertex sits on the small list and keeps the paper's one thread);
+/// medium items a warp; large items one parent thread that spawns
+/// children.
+fn phase1_gang(
+    graph: &Csr,
+    class: usize,
+    items: &[VertexId],
+    width: Weight,
+    config: RdbsConfig,
+    lanes: u64,
+) -> u32 {
+    match class {
+        0 if config.adwl => {
+            let n = items.len() as u64;
+            let edges = items.iter().map(|&v| phase1_edges(graph, v, width, config.pro)).sum();
+            gang_width(edges, n, occupancy_cap(n, lanes))
+        }
+        1 => 32,
+        _ => 1,
     }
 }
 
@@ -606,6 +647,7 @@ fn run_phase1_list(
     device: &mut Device,
     basyn: bool,
     class: usize,
+    gang: u32,
     items: &[VertexId],
     gb: GraphBuffers,
     view: FrontierView,
@@ -615,11 +657,6 @@ fn run_phase1_list(
     accept_below: bool,
     inst: &Rc<Inst>,
 ) {
-    let gang = match class {
-        0 => 1u32,
-        1 => 32,
-        _ => 1, // large vertices: parent thread spawns children
-    };
     let large = class == 2;
     let inst_outer = Rc::clone(inst);
     let body = move |lane: &mut Lane<'_>| {
@@ -666,6 +703,15 @@ fn run_phase1_list(
             if count == 0 {
                 return;
             }
+            // A corrupted light range (a bit-flipped heavy offset) runs
+            // past the edge array. Its child would fault on the first
+            // lane that reads out of range; fault here instead of
+            // materializing up to 2^32 lanes first.
+            assert!(
+                light_end <= gb.m,
+                "phase1_child: edge range {start}..{light_end} out of bounds (m = {})",
+                gb.m
+            );
             let inst_child = Rc::clone(&inst_outer);
             let check_light = gb.heavy.is_none();
             lane.launch_child("phase1_child", count, move |cl| {
@@ -775,12 +821,12 @@ fn heavy_relax_wave(
     if items.is_empty() {
         return;
     }
-    // Static balancing (§4.2): pick the cooperative width from the
-    // average work per vertex — a warp per vertex only pays off when
-    // vertices carry warp-sized edge lists; sparse buckets use one
-    // thread per vertex.
+    // Static balancing (§4.2): match the cooperative width to the
+    // average work per vertex, up to a warp. Unlike the small list
+    // there is no occupancy cap: one fused pass per bucket, so the
+    // shorter edge loop always wins.
     let total_deg: u64 = items.iter().map(|&v| graph.degree(v) as u64).sum();
-    let gang = if total_deg / items.len() as u64 >= 32 { 32 } else { 1 };
+    let gang = gang_width(total_deg, items.len() as u64, 32);
     let inst = Rc::clone(inst);
     let cap = members.capacity;
     // Republish the deduplicated membership list so the wave reads
@@ -943,7 +989,9 @@ mod tests {
     use crate::validate::check_against;
     use rdbs_gpu_sim::DeviceConfig;
     use rdbs_graph::builder::{build_undirected, EdgeList};
-    use rdbs_graph::generate::{erdos_renyi, preferential_attachment, uniform_weights};
+    use rdbs_graph::generate::{
+        erdos_renyi, grid_road, preferential_attachment, uniform_weights, GridConfig,
+    };
     use rdbs_graph::reorder;
 
     fn random_graph(seed: u64, n: usize, m: usize) -> Csr {
@@ -1051,7 +1099,7 @@ mod tests {
         let cfg = RdbsConfig::basyn_only().with_frontier(FrontierKind::Mlmq);
         let n = g.num_vertices() as u32;
         let width0 = default_delta(&g);
-        let lanes = d.config().num_sms as u64 * 32 * 2;
+        let lanes = target_lanes(d.config().num_sms);
         let mut controller = DeltaController::new(width0).with_target_parallelism(lanes);
         let gb = GraphBuffers::upload(&mut d, &g);
         let mut scratch = RdbsScratch::new(&mut d, n, cfg);
@@ -1079,6 +1127,65 @@ mod tests {
     }
 
     #[test]
+    fn schedule_fuzzed_grid_matches_dijkstra_with_sub_warp_gangs() {
+        // A road-like grid: every vertex is small, and its waves leave
+        // the tiny device's lanes idle, so small vertices run on
+        // sub-warp gangs. Any lane interleaving must give the oracle's
+        // distances.
+        let mut el = grid_road(GridConfig::road(16, 16), 3);
+        uniform_weights(&mut el, 4);
+        let g = build_undirected(&el);
+        let oracle = dijkstra(&g, 0);
+        let (run, d) = run_config(&g, RdbsConfig::full());
+        check_against(&oracle.dist, &run.result.dist).unwrap();
+        // T_i counts one thread per small item; more lanes than that
+        // means some wave ran a gang wider than one.
+        let items: u64 = run.buckets.iter().map(|t| t.threads).sum();
+        let lanes: u64 =
+            d.reports().iter().filter(|r| r.name == "phase1_small").map(|r| r.threads).sum();
+        assert!(lanes > items, "no small wave was widened");
+        let delta0 = default_delta(&g);
+        let (pg, perm) = reorder::pro(&g, delta0);
+        for seed in 0..16 {
+            let mut d = Device::new(DeviceConfig::test_tiny());
+            d.arm_schedule_fuzz(seed);
+            let mut run = rdbs(&mut d, &pg, perm.new_id(0), RdbsConfig::full());
+            run.result.dist = perm.unapply_to_array(&run.result.dist);
+            check_against(&oracle.dist, &run.result.dist)
+                .unwrap_or_else(|m| panic!("schedule seed {seed}: {m}"));
+        }
+    }
+
+    #[test]
+    fn small_vertices_wider_than_their_gang_stride_their_edges() {
+        // Source 0 reaches twenty small vertices: a chain 1..=16 of
+        // degree 2-3 and four vertices 17..=20 with 27 edges each. The
+        // wave's mean picks a gang far narrower than 27, so each lane
+        // of those four gangs walks several edges (`e += stride`).
+        let mut edges: Vec<(u32, u32, u32)> = (1..=20u32).map(|v| (0, v, 0)).collect();
+        edges.extend((1..16u32).map(|v| (v, v + 1, 0)));
+        for (k, v) in (17..=20u32).enumerate() {
+            edges.extend((0..26u32).map(|j| (v, 21 + 26 * k as u32 + j, 0)));
+        }
+        let mut el = EdgeList::from_edges(125, edges);
+        uniform_weights(&mut el, 8);
+        let g = build_undirected(&el);
+        let cfg = RdbsConfig { delta0: Some(100_000), ..RdbsConfig::full() };
+        let items: Vec<VertexId> = (1..=20).collect();
+        let gang = phase1_gang(&g, 0, &items, 100_000, cfg, target_lanes(2));
+        assert!(gang > 1 && gang < g.degree(17), "gang {gang}");
+        let oracle = dijkstra(&g, 0);
+        for scatter in ScatterMode::ALL {
+            for kind in FrontierKind::ALL {
+                let cfg = cfg.with_scatter(scatter).with_frontier(kind);
+                let (run, _) = run_config(&g, cfg);
+                check_against(&oracle.dist, &run.result.dist)
+                    .unwrap_or_else(|m| panic!("{scatter:?} {kind}: {m}"));
+            }
+        }
+    }
+
+    #[test]
     fn hub_vertex_takes_dynamic_parallelism_path() {
         // A star whose hub has > α = 256 light edges must be classified
         // Large and processed via a child kernel.
@@ -1099,6 +1206,32 @@ mod tests {
             d.counters().child_kernel_launches > 0,
             "expected dynamic parallelism on the hub vertex"
         );
+    }
+
+    #[test]
+    fn corrupted_large_light_range_faults_instead_of_launching() {
+        // A bit flip in a hub's heavy offset makes its light range run
+        // billions of edges past the edge array. The parent must fault
+        // (a panic the recovery ladder catches) before the child
+        // kernel materializes its lanes.
+        let mut el = EdgeList::from_edges(400, (1..400u32).map(|v| (0, v, 0)).collect());
+        uniform_weights(&mut el, 6);
+        let (pg, perm) = reorder::pro(&build_undirected(&el), 5000);
+        let hub = perm.new_id(0);
+        let cfg = RdbsConfig { delta0: Some(5000), ..RdbsConfig::full() };
+        let mut d = Device::new(DeviceConfig::test_tiny());
+        let mut controller = DeltaController::new(5000);
+        let gb = GraphBuffers::upload(&mut d, &pg);
+        let scratch = RdbsScratch::new(&mut d, pg.num_vertices() as u32, cfg);
+        let mut driver = RdbsDriver::start(&mut d, gb, &scratch, &pg, hub, cfg, &mut controller);
+        let light_end = d.read_word(gb.heavy.unwrap(), hub as usize);
+        d.write_word(gb.heavy.unwrap(), hub as usize, light_end | 1 << 31);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            driver.step(&mut d, &pg, &mut controller)
+        }))
+        .expect_err("a corrupted light range must fault");
+        let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(msg.contains("out of bounds"), "{msg}");
     }
 
     #[test]

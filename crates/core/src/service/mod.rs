@@ -836,7 +836,7 @@ fn fresh_controller(device: &Device, graph: &Csr, variant: Variant) -> DeltaCont
         Variant::Rdbs(cfg) => cfg.delta0.unwrap_or_else(|| default_delta(graph)),
         Variant::Baseline => default_delta(graph),
     };
-    let lanes = device.config().num_sms as u64 * 32 * 2;
+    let lanes = crate::workload::target_lanes(device.config().num_sms);
     DeltaController::new(width0).with_target_parallelism(lanes)
 }
 

@@ -2,7 +2,9 @@
 //!
 //! Active vertices are classified by their number of *light* edges:
 //!
-//! * `< β = 32` → **small** list, processed by the parent thread;
+//! * `< β = 32` → **small** list, processed by the parent thread in
+//!   the paper; here by a sub-warp gang matched to the wave's mean
+//!   light degree (see [`gang_width`]);
 //! * `β ..= α-1` (`α = 256`) → **medium** list, processed by one Warp
 //!   (32 lanes);
 //! * `>= α` → **large** list, processed via dynamic parallelism with
@@ -27,7 +29,7 @@ pub const BLOCK_EDGE_LIMIT: u32 = 4096;
 /// Which workload list an active vertex belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum WorkloadClass {
-    /// Parent thread handles the edges itself.
+    /// A sub-warp gang (one thread in the paper) handles the edges.
     Small,
     /// One warp (32 lanes) cooperates.
     Medium,
@@ -72,16 +74,37 @@ impl WorkloadClass {
             WorkloadClass::Large => 2,
         }
     }
+}
 
-    /// Gang width used when the wave engine processes this list.
-    #[inline]
-    pub fn gang_width(self) -> u32 {
-        match self {
-            WorkloadClass::Small => 1,
-            WorkloadClass::Medium => 32,
-            WorkloadClass::Large => 256,
-        }
-    }
+/// Widest gang a phase-1 small-list wave spreads one vertex over.
+pub const SMALL_GANG_CAP: u32 = 16;
+
+/// Lanes a wave should keep busy on a device of `num_sms` SMs: two
+/// warps per SM. The Δ controller's utilization floor and the
+/// small-list [`occupancy_cap`] both size against it.
+#[inline]
+pub fn target_lanes(num_sms: u32) -> u64 {
+    num_sms as u64 * 32 * 2
+}
+
+/// Gang width matched to a wave's work: the next power of two at or
+/// above the mean edge count per item, `⌈edges / items⌉`, capped at
+/// `cap` (a power of two). Items with no edges get one lane.
+#[inline]
+pub fn gang_width(edges: u64, items: u64, cap: u32) -> u32 {
+    let mean = edges.div_ceil(items.max(1)).max(1);
+    mean.next_power_of_two().min(cap as u64) as u32
+}
+
+/// Cap on the small-list gang width of an `items`-vertex wave: the
+/// largest power of two that keeps `items × width` within
+/// `target_lanes`, at most [`SMALL_GANG_CAP`]. Only waves that leave
+/// device lanes idle widen, so waves that already fill the device do
+/// not pay extra warp-aggregated publish atomics.
+#[inline]
+pub fn occupancy_cap(items: u64, target_lanes: u64) -> u32 {
+    let per_item = (target_lanes / items.max(1)).max(1);
+    (1u64 << per_item.ilog2()).min(SMALL_GANG_CAP as u64) as u32
 }
 
 #[cfg(test)]
@@ -118,8 +141,41 @@ mod tests {
             .map(|c| c.index())
             .collect();
         assert_eq!(idx, vec![0, 1, 2]);
-        assert_eq!(WorkloadClass::Small.gang_width(), 1);
-        assert_eq!(WorkloadClass::Medium.gang_width(), 32);
-        assert_eq!(WorkloadClass::Large.gang_width(), 256);
+    }
+
+    #[test]
+    fn gang_width_table() {
+        // (edges, items, cap) -> width: the next power of two at or
+        // above the mean, clamped to [1, cap].
+        for (edges, items, cap, want) in [
+            (0, 10, 32, 1),    // mean 0: edgeless items keep one lane
+            (10, 10, 32, 1),   // mean 1
+            (30, 10, 32, 4),   // mean 3
+            (25, 10, 32, 4),   // mean 2.5 rounds up to 3
+            (170, 10, 32, 32), // mean 17
+            (170, 10, 16, 16), // mean 17 under the small-list cap
+            (400, 10, 32, 32), // mean 40 capped at a warp
+            (30, 10, 1, 1),    // a width-1 cap wins over any mean
+            (5, 0, 32, 8),     // no items: the edge count is the mean
+        ] {
+            assert_eq!(gang_width(edges, items, cap), want, "{edges}/{items} cap {cap}");
+        }
+    }
+
+    #[test]
+    fn occupancy_cap_table() {
+        let lanes = target_lanes(80);
+        assert_eq!(lanes, 5120);
+        for (items, want) in [
+            (0, 16),   // empty wave: the small-list cap
+            (83, 16),  // 61 lanes per item, capped at 16
+            (400, 8),  // 12.8 lanes per item -> 8
+            (1280, 4), // exactly 4 lanes per item
+            (1281, 2), // just under 4
+            (5120, 1), // the wave fills the device
+            (100_000, 1),
+        ] {
+            assert_eq!(occupancy_cap(items, lanes), want, "{items} items");
+        }
     }
 }
