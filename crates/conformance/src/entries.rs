@@ -22,7 +22,7 @@ use rdbs_core::recover::{
 use rdbs_core::service::{Backend, ServiceConfig, SsspService};
 use rdbs_core::{Csr, SsspResult, VertexId, Weight};
 use rdbs_gpu_sim::{
-    AccessIr, AccessProfile, Device, DeviceConfig, FaultSpec, SanConfig, SanViolation,
+    AccessIr, AccessProfile, Device, DeviceConfig, FaultSpec, Fingerprint, SanConfig, SanViolation,
 };
 
 /// One device-backed entry point.
@@ -372,6 +372,18 @@ pub struct Observed {
     pub profile: Option<AccessProfile>,
     /// Retained IR, one per device; empty unless the probe armed it.
     pub irs: Vec<AccessIr>,
+    /// Model fingerprint of the run: distances and update stats, then
+    /// every device's counters, kernel reports and clock, then the
+    /// simulated latency series (see [`crate::fingerprints`]).
+    pub fingerprint: u64,
+}
+
+/// Start a run's fingerprint with its answer.
+fn answer_fingerprint(result: &SsspResult) -> Fingerprint {
+    let mut fp = Fingerprint::default();
+    fp.words(&result.dist);
+    fp.bytes(format!("{:?}", result.stats).as_bytes());
+    fp
 }
 
 fn arm(device: &mut Device, probe: Probe) {
@@ -401,12 +413,15 @@ pub fn run(
             let mut device = Device::new(DeviceConfig::test_tiny());
             arm(&mut device, probe);
             let run = run_gpu_on(&mut device, graph, source, entry.variant(v, delta0));
+            let mut fp = answer_fingerprint(&run.result);
+            fp.device(&device);
             Observed {
                 result: run.result,
                 violations: device.san_violations().to_vec(),
                 san_total: device.san_total(),
                 profile: device.san_profile().cloned(),
                 irs: device.take_ir().into_iter().collect(),
+                fingerprint: fp.value(),
             }
         }
         EntryKind::MultiGpu(k) => {
@@ -423,12 +438,20 @@ pub fn run(
                 state.arm_ir();
             }
             let run = state.run(source);
+            let mut fp = answer_fingerprint(&run.result);
+            for device in state.devices() {
+                fp.device(device);
+            }
+            fp.series(&[run.elapsed_ms, run.exchange_ms]);
+            fp.u64(run.exchanged_bytes);
+            fp.u64(u64::from(run.supersteps) << 32 | u64::from(run.buckets));
             Observed {
                 result: run.result,
                 violations: state.san_violations().into_iter().map(|(_, v)| v).collect(),
                 san_total: state.san_total(),
                 profile: None,
                 irs: state.take_irs(),
+                fingerprint: fp.value(),
             }
         }
         EntryKind::Service(s) => {
@@ -445,12 +468,20 @@ pub fn run(
             }
             warm_up(&mut svc, source);
             let result = s.attempt(&mut svc, source).unwrap_or_else(|e| panic!("{e}"));
+            let mut fp = answer_fingerprint(&result);
+            fp.counters(svc.device_counters().expect("service entries run one device"));
+            fp.reports(svc.kernel_reports().expect("service entries run one device"));
+            let stats = svc.stats();
+            fp.series(&stats.per_query_sim_ms);
+            fp.series(&stats.per_query_sojourn_ms);
+            fp.f64(stats.sim_batch_ms);
             Observed {
                 result,
                 violations: svc.san_violations(),
                 san_total: svc.san_total(),
                 profile: svc.san_profile().cloned(),
                 irs: svc.take_irs(),
+                fingerprint: fp.value(),
             }
         }
     }

@@ -13,6 +13,10 @@
 //!   sweep's entry list is an ordered id list over it, run bare or
 //!   with a sanitizer / IR / permutation [`Probe`] by [`entries::run`]
 //!   and under faults by [`entries::run_recovered`].
+//! * [`fingerprints`] — one model hash per entry × frontier (plus the
+//!   Fig. 8 variants) on fixed small graphs, committed as
+//!   `results/FINGERPRINTS.json` and diffed by a tier-1 test: the
+//!   mechanical "the model did not move" check.
 //! * [`runner`] — the differential matrix: implementations × graph
 //!   families × seeded sources, each compared exactly against the
 //!   oracle; panics are caught and reported as failures.
@@ -49,6 +53,7 @@ pub mod adversary;
 pub mod analyze;
 pub mod chaos;
 pub mod entries;
+pub mod fingerprints;
 pub mod graphs;
 pub mod localize;
 pub mod registry;

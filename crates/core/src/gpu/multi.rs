@@ -200,6 +200,11 @@ impl MultiGpuState {
         self.shards.iter_mut().filter_map(|s| s.device.take_ir()).collect()
     }
 
+    /// The shard devices, in shard order.
+    pub fn devices(&self) -> impl Iterator<Item = &Device> {
+        self.shards.iter().map(|s| &s.device)
+    }
+
     /// Total host→device uploads across all shards so far (the
     /// amortization counter: constant across [`MultiGpuState::run`]s).
     pub fn graph_uploads(&self) -> u64 {

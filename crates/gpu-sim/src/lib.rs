@@ -88,6 +88,7 @@ pub mod cost;
 pub mod counters;
 pub mod device;
 pub mod fault;
+pub mod fingerprint;
 pub mod ir;
 pub mod kernel;
 pub mod replay;
@@ -101,6 +102,7 @@ pub use buffer::{Buf, HostStaging};
 pub use counters::{Counters, KernelReport};
 pub use device::{Device, DeviceConfig};
 pub use fault::{FaultEvent, FaultModel, FaultPlan, FaultSpec, FaultTarget};
+pub use fingerprint::Fingerprint;
 pub use ir::{AccessIr, Hazard, HazardKind, KernelStats, QueueDecl, QueueUsage};
 pub use kernel::{GangScatter, Lane, ScatterTarget, WaveSession};
 pub use san::{AccessProfile, SanCheck, SanConfig, SanViolation, WordStats};

@@ -11,6 +11,7 @@
 //! rdbs-cli chaos                  # fault-injection matrix, no silent wrong answers
 //! rdbs-cli chaos --model bit-flip --entry gpu/full --seed 3
 //! rdbs-cli serve --sources 64     # resident service: one upload, many queries
+//! rdbs-cli fingerprints --write   # rewrite results/FINGERPRINTS.json
 //! ```
 
 use rdbs::baselines::{adds, frontier_bf, near_far, pq_delta_stepping};
@@ -202,6 +203,9 @@ fn main() {
     }
     if std::env::args().nth(1).as_deref() == Some("analyze") {
         analyze_main(std::env::args().skip(2).collect());
+    }
+    if std::env::args().nth(1).as_deref() == Some("fingerprints") {
+        fingerprints_main(std::env::args().skip(2).collect());
     }
     let o = parse_args();
     let g = build_graph(&o);
@@ -1538,4 +1542,53 @@ fn sanitize_main(args: Vec<String>) -> ! {
         );
     }
     exit(1)
+}
+
+fn fingerprints_usage() -> ! {
+    eprintln!(
+        "usage: rdbs-cli fingerprints [options]
+
+Recompute the model fingerprints (one hash per entry x frontier and
+Fig. 8 variant over fixed small graphs: distances, counters, kernel
+reports, simulated latencies) and diff them against the committed
+file. Exits non-zero on any drift.
+
+  --write             rewrite the file instead of diffing
+  --file PATH         fingerprint file (default {default})",
+        default = rdbs::conformance::fingerprints::PATH
+    );
+    exit(2)
+}
+
+fn fingerprints_main(args: Vec<String>) -> ! {
+    use rdbs::conformance::fingerprints;
+    let mut write = false;
+    let mut path = fingerprints::PATH.to_string();
+    let mut it = args.into_iter();
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--write" => write = true,
+            "--file" => path = it.next().unwrap_or_else(|| fingerprints_usage()),
+            _ => fingerprints_usage(),
+        }
+    }
+    let actual = fingerprints::compute();
+    if write {
+        std::fs::write(&path, fingerprints::to_json(&actual)).unwrap_or_else(|e| {
+            eprintln!("cannot write {path}: {e}");
+            exit(1);
+        });
+        println!("fingerprints: {} written to {path}", actual.len());
+        exit(0);
+    }
+    let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        eprintln!("cannot read {path}: {e}");
+        exit(1);
+    });
+    let drift = fingerprints::diff(&committed, &actual);
+    for line in &drift {
+        println!("{line}");
+    }
+    println!("fingerprints: {} checked, {} drifted", actual.len(), drift.len());
+    exit(i32::from(!drift.is_empty()))
 }
