@@ -548,6 +548,7 @@ impl Device {
         snapshot: bool,
         body: &dyn Fn(&mut Lane<'_>),
     ) {
+        self.check_launch_bound(name, lanes);
         if charge_launch {
             self.counters.kernel_launches += 1;
             self.elapsed_ns += self.config.kernel_launch_us * 1e3;
@@ -656,6 +657,25 @@ impl Device {
             stream: self.current_stream,
         });
     }
+    /// Raise a device fault (a panic the recovery ladder catches) for a
+    /// launch wider than any real kernel on this device could be,
+    /// before anything lanes-sized is allocated. Every lane of a launch
+    /// works on an item some device buffer holds, in a gang of at most
+    /// one block, so `lanes` is bounded by the allocated words times
+    /// `max_block` (and one warp's worth of words when nothing is
+    /// allocated). A corrupted size, such as a bit-flipped edge range
+    /// handed to a child launch, lands orders of magnitude past it.
+    fn check_launch_bound(&self, name: &str, lanes: u64) {
+        let words = (self.arena.total_words() as u64).max(u64::from(WARP_SIZE));
+        let bound = words.saturating_mul(u64::from(self.config.max_block));
+        assert!(
+            lanes <= bound,
+            "kernel '{name}': launch of {lanes} lanes out of bounds \
+             (device bound {bound} = {words} words x max block {})",
+            self.config.max_block
+        );
+    }
+
     /// Materialize the wave's gang-collective requests: group them by
     /// (physical warp, op kind, target word) in a canonical order that
     /// no lane schedule perturbs (stable sort keeps each lane's own
@@ -1502,6 +1522,38 @@ mod tests {
         assert_eq!(ir.queues[0].pushes, 8);
         assert_eq!(ir.queues[0].high_water, 8);
         assert!(!d.ir_armed(), "take_ir disarms");
+    }
+
+    #[test]
+    fn oversized_child_launch_faults_instead_of_allocating() {
+        // A 2^31-lane child (a corrupted edge range) must raise the
+        // catchable device fault before its lane spans or its permuted
+        // schedule are allocated, which would abort the process.
+        for fuzz in [None, Some(3)] {
+            let mut d = tiny();
+            if let Some(seed) = fuzz {
+                d.arm_schedule_fuzz(seed);
+            }
+            let out = d.alloc("out", 64);
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                d.launch("parent", 1, move |lane| {
+                    lane.launch_child("huge", 1 << 31, move |cl| cl.st(out, 0, 1));
+                });
+            }))
+            .expect_err("an oversized launch must fault");
+            let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.contains("'huge'") && msg.contains("out of bounds"), "{msg}");
+        }
+        // A launch at the bound itself still runs.
+        let mut d = tiny();
+        let bound = 64 * u64::from(d.config().max_block);
+        let out = d.alloc("out", 64);
+        d.launch("widest", bound, move |lane| {
+            if lane.tid() == 0 {
+                lane.st(out, 0, 1);
+            }
+        });
+        assert_eq!(d.read_word(out, 0), 1);
     }
 
     #[test]
