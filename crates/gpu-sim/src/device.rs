@@ -9,6 +9,7 @@ use crate::ir::{AccessIr, IrState, QueueDecl};
 use crate::kernel::{ChildLaunch, ScatterReq};
 use crate::san::{AccessProfile, SanConfig, SanState, SanViolation};
 use crate::sched::SchedPlan;
+use crate::trace::OpArena;
 use std::collections::HashMap;
 
 /// Hardware parameters of a simulated GPU.
@@ -173,6 +174,9 @@ pub struct Device {
     pub(crate) config: DeviceConfig,
     pub(crate) arena: Arena,
     pub(crate) caches: CacheHierarchy,
+    /// Lane traces of the launch in flight, replayed when its bodies
+    /// are done; cleared per launch, capacity kept.
+    pub(crate) ops: OpArena,
     pub(crate) counters: Counters,
     /// Accumulated simulated time, nanoseconds.
     pub(crate) elapsed_ns: f64,
@@ -214,6 +218,7 @@ impl Device {
             config,
             arena: Arena::new(),
             caches,
+            ops: OpArena::default(),
             counters: Counters::default(),
             elapsed_ns: 0.0,
             reports: Vec::new(),

@@ -14,8 +14,9 @@
 //! Memory stays O(touched words per window), not O(ops): the recorder
 //! keeps two accessors per (word, class) — enough to witness every
 //! pairwise hazard — plus lifetime contention tables folded at window
-//! close. Full traces are never retained (the warp-local
-//! [`crate::trace::LaneTrace`] replay still discards them per warp).
+//! close. It never reads the lane traces: the timing model's op arena
+//! ([`crate::trace::OpArena`]) holds one launch at a time and is
+//! cleared when the next launch starts.
 //!
 //! The recorder is one of the two consumers of the access-event
 //! stream ([`crate::access`]), which owns the wave state and decides

@@ -20,7 +20,7 @@ use crate::counters::KernelReport;
 use crate::device::Device;
 use crate::fault::{AtomicMinFault, FaultModel, FaultPlan};
 use crate::replay::replay_warp;
-use crate::trace::{LaneTrace, Op};
+use crate::trace::{Op, OpArena};
 use crate::{SECTOR_BYTES, WARP_SIZE};
 
 /// A queued dynamic-parallelism child kernel.
@@ -125,7 +125,9 @@ pub struct Lane<'a> {
     scatter: &'a mut Vec<ScatterReq>,
     fault: Option<&'a mut FaultPlan>,
     access: Option<&'a mut AccessStream>,
-    trace: LaneTrace,
+    /// The launch's op arena and where this lane's span starts in it.
+    ops: &'a mut OpArena,
+    start: u32,
     tid: u64,
     gang_rank: u32,
     gang_size: u32,
@@ -160,6 +162,12 @@ impl<'a> Lane<'a> {
         self.tid * self.gang_size as u64 + self.gang_rank as u64
     }
 
+    /// Append one op to this lane's span of the launch's trace.
+    #[inline]
+    fn record(&mut self, op: Op) {
+        self.ops.push(self.start, op);
+    }
+
     /// Feed `buf[idx]`'s access to the armed access-event stream; the
     /// one branch every op pays when nothing is armed. `reads` is false
     /// for stores and for `atomicExch` — the only atomic whose effect
@@ -180,7 +188,7 @@ impl<'a> Lane<'a> {
     #[inline]
     pub fn ld(&mut self, buf: Buf, idx: u32) -> u32 {
         let addr = self.arena.addr(buf, idx);
-        self.trace.push(Op::Load(addr));
+        self.record(Op::Load(addr));
         self.traffic[buf.id as usize][0] += 1;
         self.observe(AccessKind::PlainLoad, buf, idx, true);
         let val = self.arena.load_visible(buf, idx);
@@ -220,7 +228,7 @@ impl<'a> Lane<'a> {
     #[inline]
     pub fn ld_volatile(&mut self, buf: Buf, idx: u32) -> u32 {
         let addr = self.arena.addr(buf, idx);
-        self.trace.push(Op::LoadVolatile(addr));
+        self.record(Op::LoadVolatile(addr));
         self.traffic[buf.id as usize][0] += 1;
         self.observe(AccessKind::VolatileLoad, buf, idx, true);
         let val = self.arena.load(buf, idx);
@@ -231,7 +239,7 @@ impl<'a> Lane<'a> {
     #[inline]
     pub fn st(&mut self, buf: Buf, idx: u32, val: u32) {
         let addr = self.arena.addr(buf, idx);
-        self.trace.push(Op::Store(addr));
+        self.record(Op::Store(addr));
         self.traffic[buf.id as usize][1] += 1;
         self.observe(AccessKind::Store, buf, idx, false);
         self.arena.store(buf, idx, val);
@@ -242,7 +250,7 @@ impl<'a> Lane<'a> {
     #[inline]
     pub fn atomic_min(&mut self, buf: Buf, idx: u32, val: u32) -> u32 {
         let addr = self.arena.addr(buf, idx);
-        self.trace.push(Op::Atomic(addr));
+        self.record(Op::Atomic(addr));
         self.traffic[buf.id as usize][2] += 1;
         self.observe(AccessKind::Atomic, buf, idx, true);
         let old = self.arena.load(buf, idx);
@@ -273,7 +281,7 @@ impl<'a> Lane<'a> {
     #[inline]
     pub fn atomic_add(&mut self, buf: Buf, idx: u32, val: u32) -> u32 {
         let addr = self.arena.addr(buf, idx);
-        self.trace.push(Op::Atomic(addr));
+        self.record(Op::Atomic(addr));
         self.traffic[buf.id as usize][2] += 1;
         self.observe(AccessKind::Atomic, buf, idx, true);
         let old = self.arena.load(buf, idx);
@@ -285,7 +293,7 @@ impl<'a> Lane<'a> {
     #[inline]
     pub fn atomic_cas(&mut self, buf: Buf, idx: u32, expected: u32, val: u32) -> u32 {
         let addr = self.arena.addr(buf, idx);
-        self.trace.push(Op::Atomic(addr));
+        self.record(Op::Atomic(addr));
         self.traffic[buf.id as usize][2] += 1;
         self.observe(AccessKind::Atomic, buf, idx, true);
         let old = self.arena.load(buf, idx);
@@ -299,7 +307,7 @@ impl<'a> Lane<'a> {
     #[inline]
     pub fn atomic_exch(&mut self, buf: Buf, idx: u32, val: u32) -> u32 {
         let addr = self.arena.addr(buf, idx);
-        self.trace.push(Op::Atomic(addr));
+        self.record(Op::Atomic(addr));
         self.traffic[buf.id as usize][2] += 1;
         self.observe(AccessKind::Atomic, buf, idx, false);
         let old = self.arena.load(buf, idx);
@@ -383,7 +391,7 @@ impl<'a> Lane<'a> {
     /// before.
     #[inline]
     pub fn converge(&mut self) {
-        self.trace.push(Op::Conv);
+        self.record(Op::Conv);
     }
 
     /// Warp-aggregated flag set: a deferred reserved store of `val` at
@@ -425,7 +433,7 @@ impl<'a> Lane<'a> {
     #[inline]
     pub fn alu(&mut self, n: u32) {
         if n > 0 {
-            self.trace.push(Op::Alu(n));
+            self.record(Op::Alu(n));
         }
     }
 
@@ -580,31 +588,24 @@ impl Device {
         // so only the interleaving of memory effects changes), then
         // flush any gang-collective scatters, then replay the timing
         // model over the original warp grouping. Functional execution
-        // touches only the arena, the replay only caches/counters, so
-        // the two decouple and the split is observationally identical
-        // to the old warp-interleaved loop.
-        let order: Vec<u64> = match self.sched.as_mut().map(|s| s.permutation(lanes)) {
-            Some(order) => order,
-            None => (0..lanes).collect(),
-        };
-        let mut all_traces: Vec<LaneTrace> = (0..lanes).map(|_| LaneTrace::default()).collect();
-        for &lane_idx in &order {
-            let mut lane = Lane {
-                arena: &mut self.arena,
-                children: &mut self.pending_children,
-                traffic: &mut self.buffer_traffic,
-                scatter: &mut self.pending_scatter,
-                fault: self.fault.as_mut(),
-                access: self.access.as_deref_mut(),
-                trace: LaneTrace::default(),
-                tid: lane_idx / gang_size as u64,
-                gang_rank: (lane_idx % gang_size as u64) as u32,
-                gang_size,
-            };
-            body(&mut lane);
-            all_traces[lane_idx as usize] = lane.trace;
+        // touches only device memory, the replay only caches/counters,
+        // so the two decouple and the split is observationally
+        // identical to a warp-interleaved loop.
+        self.ops.begin(lanes as usize);
+        match self.sched.as_mut() {
+            Some(sched) => {
+                for lane_idx in sched.permutation(lanes) {
+                    self.run_lane(lane_idx, gang_size, body);
+                }
+            }
+            None => {
+                for lane_idx in 0..lanes {
+                    self.run_lane(lane_idx, gang_size, body);
+                }
+            }
         }
-        let epilogue = self.flush_scatter(lanes);
+        self.flush_scatter(lanes);
+        let mut epilogues = self.ops.epilogues(lanes).peekable();
         for w in 0..warps {
             let base = (w * WARP_SIZE as u64) as usize;
             let end = ((w + 1) * WARP_SIZE as u64).min(lanes) as usize;
@@ -614,25 +615,25 @@ impl Device {
                 &mut self.caches,
                 &mut self.counters,
                 sm,
-                &all_traces[base..end],
+                self.ops.ops(),
+                self.ops.lane_spans(base..end),
                 true,
             );
             sm_cycles[sm] += out.cycles;
             // The gang-collective epilogue replays as a continuation
             // of the same warp (`register: false` — no second
             // warp/thread count), converged per flush phase.
-            if let Some(epi) = &epilogue {
-                if epi[base..end].iter().any(|t| !t.is_empty()) {
-                    let out = replay_warp(
-                        &self.config,
-                        &mut self.caches,
-                        &mut self.counters,
-                        sm,
-                        &epi[base..end],
-                        false,
-                    );
-                    sm_cycles[sm] += out.cycles;
-                }
+            if let Some((_, spans)) = epilogues.next_if(|&(ew, _)| ew == w) {
+                let out = replay_warp(
+                    &self.config,
+                    &mut self.caches,
+                    &mut self.counters,
+                    sm,
+                    self.ops.ops(),
+                    spans,
+                    false,
+                );
+                sm_cycles[sm] += out.cycles;
             }
         }
         if snapshot {
@@ -657,6 +658,28 @@ impl Device {
             stream: self.current_stream,
         });
     }
+    /// Run lane `lane_idx`'s body, recording its ops as its span of the
+    /// launch's op arena.
+    #[inline]
+    fn run_lane(&mut self, lane_idx: u64, gang_size: u32, body: &dyn Fn(&mut Lane<'_>)) {
+        let start = self.ops.cursor();
+        let mut lane = Lane {
+            arena: &mut self.arena,
+            children: &mut self.pending_children,
+            traffic: &mut self.buffer_traffic,
+            scatter: &mut self.pending_scatter,
+            fault: self.fault.as_mut(),
+            access: self.access.as_deref_mut(),
+            ops: &mut self.ops,
+            start,
+            tid: lane_idx / gang_size as u64,
+            gang_rank: (lane_idx % gang_size as u64) as u32,
+            gang_size,
+        };
+        body(&mut lane);
+        self.ops.close_lane(lane_idx as usize, start);
+    }
+
     /// Raise a device fault (a panic the recovery ladder catches) for a
     /// launch wider than any real kernel on this device could be,
     /// before anything lanes-sized is allocated. Every lane of a launch
@@ -681,8 +704,8 @@ impl Device {
     /// no lane schedule perturbs (stable sort keeps each lane's own
     /// requests in program order), then emit the leader reservations,
     /// reduced atomics, reserved stores, overflow bumps and spills
-    /// into a separate *epilogue* trace set, returned for replay after
-    /// each warp's body traces.
+    /// into a per-warp *epilogue* in the op arena, replayed after each
+    /// warp's body traces.
     ///
     /// The epilogue replays **converged**: real warp-aggregated
     /// multisplit runs its ballot/scan/reserve/store sequence in
@@ -694,9 +717,9 @@ impl Device {
     /// reserved stores → overflow/spill reservations → spill stores →
     /// spill-overflow bumps), separated by [`Op::Conv`] reconvergence
     /// points so the replay aligns same-phase ops across lanes.
-    fn flush_scatter(&mut self, lanes: u64) -> Option<Vec<LaneTrace>> {
+    fn flush_scatter(&mut self, lanes: u64) {
         if self.pending_scatter.is_empty() {
-            return None;
+            return;
         }
         let reqs = std::mem::take(&mut self.pending_scatter);
         let mut keyed: Vec<((u64, u8, u64, u64), ScatterReq)> = reqs
@@ -715,7 +738,6 @@ impl Device {
             })
             .collect();
         keyed.sort_by_key(|(k, _)| *k);
-        let mut epi: Vec<LaneTrace> = (0..lanes).map(|_| LaneTrace::default()).collect();
         let mut placed: Vec<(u8, u64, Op)> = Vec::new();
         let mut i = 0;
         while i < keyed.len() {
@@ -840,39 +862,39 @@ impl Device {
             // whichever lane happened to lead every group. Reserved
             // stores keep their owning lane: each lane publishes its
             // own payload (that is what makes them coalesce).
-            let base = (warp * WARP_SIZE as u64) as usize;
-            let end = (base + WARP_SIZE as usize).min(lanes as usize);
-            let width = end - base;
-            let mut first = true;
-            for phase in 0..PHASES {
-                if !placed.iter().any(|&(p, _, _)| p == phase) {
-                    continue;
-                }
-                if !first {
-                    for t in &mut epi[base..end] {
-                        t.push(Op::Conv);
-                    }
-                }
-                first = false;
-                let packed = matches!(phase, PH_LEADER | PH_OVERFLOW | PH_SPILL_OVERFLOW);
-                if packed {
-                    let mut slot = 0usize;
-                    for &(p, _, op) in &placed {
-                        if p == phase {
-                            epi[base + slot % width].push(op);
-                            slot += 1;
-                        }
-                    }
-                } else {
-                    for &(p, lane, op) in &placed {
-                        if p == phase {
-                            epi[lane as usize].push(op);
-                        }
-                    }
+            let base = warp * WARP_SIZE as u64;
+            let width = (lanes - base).min(WARP_SIZE as u64);
+            let mut slots = [0u64; PHASES as usize];
+            let mut present = [false; PHASES as usize];
+            for (phase, lane, _) in &mut placed {
+                let p = *phase as usize;
+                present[p] = true;
+                if matches!(*phase, PH_LEADER | PH_OVERFLOW | PH_SPILL_OVERFLOW) {
+                    *lane = base + slots[p] % width;
+                    slots[p] += 1;
                 }
             }
+            // Each lane's epilogue is contiguous in the arena: its ops
+            // phase by phase, in placement order within a phase.
+            placed.sort_by_key(|&(phase, lane, _)| (lane, phase));
+            let first_phase = present.iter().position(|&p| p).expect("a warp group emits") as u8;
+            self.ops.begin_epilogue(warp);
+            let mut next = placed.iter().peekable();
+            for lane in base..base + width {
+                let start = self.ops.cursor();
+                for phase in (0..PHASES).filter(|&p| present[p as usize]) {
+                    if phase != first_phase {
+                        self.ops.push(start, Op::Conv);
+                    }
+                    while let Some(&(_, _, op)) =
+                        next.next_if(|&&(p, l, _)| (l, p) == (lane, phase))
+                    {
+                        self.ops.push(start, op);
+                    }
+                }
+                self.ops.close_epilogue_lane(start);
+            }
         }
-        Some(epi)
     }
 
     /// One (warp, queue) push group: a single leader `atomicAdd`
@@ -1554,6 +1576,40 @@ mod tests {
             }
         });
         assert_eq!(d.read_word(out, 0), 1);
+    }
+
+    #[test]
+    fn alu_runs_never_merge_across_lanes() {
+        // Even lanes end on an ALU op, odd lanes start with one. In the
+        // shared op arena a lane's span sits right after the span of
+        // whichever lane ran before it, so a merge across that boundary
+        // would move an odd lane's ALU work onto its neighbour and
+        // regroup the replay. Correct: each warp issues Load + Alu at
+        // step 0 and Alu + Load at step 1, four instructions.
+        let run = |seed: Option<u64>| {
+            let mut d = tiny();
+            if let Some(seed) = seed {
+                d.arm_schedule_fuzz(seed);
+            }
+            let a = d.alloc("a", 64);
+            d.launch("alternate", 64, move |lane| {
+                let i = lane.tid() as u32;
+                if i.is_multiple_of(2) {
+                    lane.ld(a, i);
+                    lane.alu(2);
+                } else {
+                    lane.alu(3);
+                    lane.ld(a, i);
+                }
+            });
+            (d.counters().clone(), d.elapsed_ms())
+        };
+        let (base, ms) = run(None);
+        assert_eq!(base.inst_executed, 8);
+        assert_eq!(base.active_lane_sum, 128);
+        for seed in 1..=4 {
+            assert_eq!(run(Some(seed)), (base.clone(), ms), "seed {seed}");
+        }
     }
 
     #[test]

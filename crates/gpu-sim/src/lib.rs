@@ -8,10 +8,12 @@
 //! ## Execution model
 //!
 //! Kernel bodies are plain Rust closures receiving a [`Lane`] handle.
-//! Threads execute *functionally* one warp (32 lanes) at a time — every
-//! global load, store and atomic takes effect immediately on device
-//! memory — while each lane records an operation trace. After a warp's
-//! lanes finish, the trace is **replayed in lockstep**:
+//! Threads execute *functionally* lane by lane — every global load,
+//! store and atomic takes effect immediately on device memory — while
+//! each lane records an operation trace into the device's op arena
+//! (8 bytes per op, one span per lane, cleared per launch). After all
+//! of a launch's lanes finish, each warp's traces are **replayed in
+//! lockstep**:
 //!
 //! * lanes are aligned by operation index, and at every step the active
 //!   lanes are grouped by operation kind — divergent groups serialize,

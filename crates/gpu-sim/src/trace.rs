@@ -1,10 +1,15 @@
-//! Per-lane operation traces.
+//! Lane operation traces, packed into one op arena per device.
 //!
 //! While a thread's body runs, every simulated instruction appends an
-//! [`Op`] to its lane trace. Traces are warp-local and short-lived: a
-//! warp's 32 traces are replayed and discarded before the next warp
-//! executes, keeping simulator memory proportional to warp size, not
-//! kernel size.
+//! [`Op`] to the device's [`OpArena`]: one flat vector of 8-byte
+//! [`PackedOp`]s in which each lane owns a contiguous [`Span`]. A
+//! launch runs every lane body before it replays any warp (the
+//! gang-collective flush needs all of them first), so the whole
+//! launch's traces live until the launch ends. The arena is cleared
+//! per launch and keeps its capacity: a steady stream of launches
+//! allocates nothing, and a launch costs 8 bytes per recorded op plus
+//! 8 per lane. The flush appends each warp's epilogue to the same
+//! arena.
 
 /// One recorded lane operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,38 +77,180 @@ pub enum OpKind {
     Conv,
 }
 
-/// The recorded trace of one lane.
-#[derive(Clone, Debug, Default)]
-pub struct LaneTrace {
-    /// The recorded ops, in program order.
-    pub ops: Vec<Op>,
-}
+/// Bits below the kind tag: the payload (address or ALU count).
+const TAG_SHIFT: u32 = 61;
+const PAYLOAD_MASK: u64 = (1 << TAG_SHIFT) - 1;
 
-impl LaneTrace {
-    /// Append one op. Consecutive ALU ops collapse into a single
-    /// [`Op::Alu`] to keep traces small: graph kernels interleave long
-    /// arithmetic runs with memory ops.
+/// Largest byte address a [`PackedOp`] carries. Device addresses come
+/// from a bump allocator far below it; a larger one is rejected, never
+/// truncated into another buffer's range.
+pub const MAX_ADDR: u64 = PAYLOAD_MASK;
+
+// Kind tags. The first four are the replay groups, in the order replay
+// issues them (see [`PackedOp::group`]).
+const TAG_ALU: u64 = 0;
+const TAG_LOAD: u64 = 1;
+const TAG_STORE: u64 = 2;
+const TAG_ATOMIC: u64 = 3;
+const TAG_LOAD_VOLATILE: u64 = 4;
+const TAG_CONV: u64 = 5;
+
+/// Replay group of [`PackedOp::group`] for a reconvergence point.
+pub const GROUP_CONV: usize = 4;
+
+/// Replay group of each tag: Alu 0, Load 1 (plain and volatile),
+/// Store 2, Atomic 3, Conv [`GROUP_CONV`].
+const GROUP: [usize; 8] = [0, 1, 2, 3, 1, GROUP_CONV, GROUP_CONV, GROUP_CONV];
+
+/// An [`Op`] packed into 8 bytes: a kind tag in the top 3 bits and the
+/// address or ALU count below it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PackedOp(u64);
+
+impl PackedOp {
+    /// Pack `op`; `None` when its address is past [`MAX_ADDR`].
     #[inline]
-    pub fn push(&mut self, op: Op) {
-        match (self.ops.last_mut(), op) {
-            (Some(Op::Alu(last)), Op::Alu(m)) => *last += m,
-            _ => self.ops.push(op),
+    pub fn pack(op: Op) -> Option<Self> {
+        let (tag, payload) = match op {
+            Op::Alu(n) => (TAG_ALU, u64::from(n)),
+            Op::Load(a) => (TAG_LOAD, a),
+            Op::LoadVolatile(a) => (TAG_LOAD_VOLATILE, a),
+            Op::Store(a) => (TAG_STORE, a),
+            Op::Atomic(a) => (TAG_ATOMIC, a),
+            Op::Conv => (TAG_CONV, 0),
+        };
+        (payload <= PAYLOAD_MASK).then_some(Self(tag << TAG_SHIFT | payload))
+    }
+
+    /// The op this packs.
+    pub fn unpack(self) -> Op {
+        let p = self.payload();
+        match self.0 >> TAG_SHIFT {
+            TAG_ALU => Op::Alu(p as u32),
+            TAG_LOAD => Op::Load(p),
+            TAG_LOAD_VOLATILE => Op::LoadVolatile(p),
+            TAG_STORE => Op::Store(p),
+            TAG_ATOMIC => Op::Atomic(p),
+            _ => Op::Conv,
         }
     }
 
-    /// Number of recorded (collapsed) ops.
-    pub fn len(&self) -> usize {
-        self.ops.len()
+    /// Replay group: 0 Alu, 1 Load, 2 Store, 3 Atomic, or
+    /// [`GROUP_CONV`].
+    #[inline]
+    pub fn group(self) -> usize {
+        GROUP[(self.0 >> TAG_SHIFT) as usize]
     }
 
-    /// True when no ops have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+    /// Address (memory ops) or instruction count (ALU ops).
+    #[inline]
+    pub fn payload(self) -> u64 {
+        self.0 & PAYLOAD_MASK
     }
+}
 
-    /// Discard all recorded ops.
-    pub fn clear(&mut self) {
+/// One lane's ops: `start..end` in the arena.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Span {
+    /// First op.
+    pub start: u32,
+    /// One past the last op.
+    pub end: u32,
+}
+
+impl Span {
+    /// True when the lane recorded nothing.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.start == self.end
+    }
+}
+
+/// Every lane trace of one launch (see the module docs).
+#[derive(Debug, Default)]
+pub struct OpArena {
+    ops: Vec<PackedOp>,
+    /// Lane `i`'s body span at index `i`; flush epilogue spans follow.
+    spans: Vec<Span>,
+    /// `(warp, first span)` of each warp's epilogue, ascending by warp.
+    epilogues: Vec<(u64, usize)>,
+}
+
+impl OpArena {
+    /// Start a launch of `lanes` lanes: drop the previous launch's ops
+    /// (keeping the capacity) and give every lane an empty span.
+    pub fn begin(&mut self, lanes: usize) {
         self.ops.clear();
+        self.spans.clear();
+        self.spans.resize(lanes, Span::default());
+        self.epilogues.clear();
+    }
+
+    /// Where the next op lands: the start of a lane's span.
+    #[inline]
+    pub fn cursor(&self) -> u32 {
+        u32::try_from(self.ops.len()).expect("op arena exceeds 2^32 ops in one launch")
+    }
+
+    /// Append one op to the lane whose span starts at `start`. An
+    /// ALU op following an ALU op of the same lane adds to it: graph
+    /// kernels interleave long arithmetic runs with memory ops. The
+    /// merge never reaches back past `start` into another lane's span.
+    /// A memory address past [`MAX_ADDR`] faults.
+    #[inline]
+    pub fn push(&mut self, start: u32, op: Op) {
+        if let Op::Alu(m) = op {
+            if self.ops.len() > start as usize {
+                let last = self.ops.last_mut().expect("non-empty span");
+                if last.group() == 0 {
+                    let sum = last.payload() as u32 + m;
+                    *last = PackedOp(TAG_ALU << TAG_SHIFT | u64::from(sum));
+                    return;
+                }
+            }
+        }
+        let packed = PackedOp::pack(op).unwrap_or_else(|| {
+            panic!("op {op:?}: address out of bounds (ops carry addresses up to {MAX_ADDR:#x})")
+        });
+        self.ops.push(packed);
+    }
+
+    /// Close lane `lane`'s body span, begun at `start`.
+    #[inline]
+    pub fn close_lane(&mut self, lane: usize, start: u32) {
+        self.spans[lane] = Span { start, end: self.cursor() };
+    }
+
+    /// Open warp `warp`'s flush epilogue; its lanes' spans follow with
+    /// [`OpArena::close_epilogue_lane`], one per lane of the warp.
+    pub fn begin_epilogue(&mut self, warp: u64) {
+        self.epilogues.push((warp, self.spans.len()));
+    }
+
+    /// Close the next epilogue lane's span, begun at `start`.
+    pub fn close_epilogue_lane(&mut self, start: u32) {
+        self.spans.push(Span { start, end: self.cursor() });
+    }
+
+    /// The recorded ops.
+    #[inline]
+    pub fn ops(&self) -> &[PackedOp] {
+        &self.ops
+    }
+
+    /// Body spans of lanes `lanes`.
+    #[inline]
+    pub fn lane_spans(&self, lanes: std::ops::Range<usize>) -> &[Span] {
+        &self.spans[lanes]
+    }
+
+    /// The epilogue spans of each warp that has one, ascending by warp.
+    pub fn epilogues(&self, lanes: u64) -> impl Iterator<Item = (u64, &[Span])> {
+        self.epilogues.iter().map(move |&(warp, first)| {
+            let warp_size = u64::from(crate::WARP_SIZE);
+            let width = (lanes - warp * warp_size).min(warp_size) as usize;
+            (warp, &self.spans[first..first + width])
+        })
     }
 }
 
@@ -111,15 +258,22 @@ impl LaneTrace {
 mod tests {
     use super::*;
 
+    fn lane_ops(arena: &OpArena, span: Span) -> Vec<Op> {
+        arena.ops()[span.start as usize..span.end as usize].iter().map(|p| p.unpack()).collect()
+    }
+
     #[test]
     fn alu_ops_collapse() {
-        let mut t = LaneTrace::default();
-        t.push(Op::Alu(2));
-        t.push(Op::Alu(3));
-        assert_eq!(t.ops, vec![Op::Alu(5)]);
-        t.push(Op::Load(64));
-        t.push(Op::Alu(1));
-        assert_eq!(t.len(), 3);
+        let mut a = OpArena::default();
+        a.begin(1);
+        let s = a.cursor();
+        a.push(s, Op::Alu(2));
+        a.push(s, Op::Alu(3));
+        a.push(s, Op::Load(64));
+        a.push(s, Op::Alu(1));
+        a.close_lane(0, s);
+        let span = a.lane_spans(0..1)[0];
+        assert_eq!(lane_ops(&a, span), vec![Op::Alu(5), Op::Load(64), Op::Alu(1)]);
     }
 
     #[test]
@@ -130,5 +284,60 @@ mod tests {
         assert_eq!(Op::Store(8).addr(), Some(8));
         assert_eq!(Op::Alu(1).addr(), None);
         assert_eq!(Op::Atomic(4).kind(), OpKind::Atomic);
+    }
+
+    #[test]
+    fn encoding_round_trips_at_its_limits() {
+        let ops = [
+            Op::Load(MAX_ADDR),
+            Op::LoadVolatile(MAX_ADDR),
+            Op::Store(MAX_ADDR),
+            Op::Atomic(MAX_ADDR),
+            Op::Load(0),
+            Op::Alu(u32::MAX),
+            Op::Alu(u32::MAX - 1),
+            Op::Alu(1 << 31),
+            Op::Conv,
+        ];
+        for op in ops {
+            let packed = PackedOp::pack(op).expect("in range");
+            assert_eq!(packed.unpack(), op);
+            assert_eq!(packed.group() == GROUP_CONV, op == Op::Conv);
+        }
+        assert_eq!(PackedOp::pack(Op::LoadVolatile(8)).unwrap().group(), 1);
+    }
+
+    #[test]
+    fn addresses_past_the_limit_are_rejected_not_truncated() {
+        for op in [Op::Load(MAX_ADDR + 1), Op::Store(u64::MAX), Op::Atomic(1 << 62)] {
+            assert_eq!(PackedOp::pack(op), None, "{op:?}");
+        }
+        let mut a = OpArena::default();
+        a.begin(1);
+        let err = std::panic::catch_unwind(move || a.push(0, Op::Atomic(MAX_ADDR + 1)))
+            .expect_err("an unpackable address must fault");
+        let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(msg.contains("out of bounds"), "{msg}");
+    }
+
+    #[test]
+    fn alu_never_merges_across_lanes() {
+        // Lane k ends on an ALU op and lane k+1 starts with one: in a
+        // shared arena they sit side by side, and a merge would move
+        // lane k+1's instructions onto lane k, in any lane order.
+        for order in [[0usize, 1, 2], [2, 0, 1], [1, 2, 0]] {
+            let mut a = OpArena::default();
+            a.begin(3);
+            for lane in order {
+                let s = a.cursor();
+                a.push(s, Op::Alu(lane as u32 + 1));
+                a.push(s, Op::Alu(10));
+                a.close_lane(lane, s);
+            }
+            for lane in 0..3 {
+                let span = a.lane_spans(lane..lane + 1)[0];
+                assert_eq!(lane_ops(&a, span), vec![Op::Alu(lane as u32 + 11)], "{order:?}");
+            }
+        }
     }
 }
