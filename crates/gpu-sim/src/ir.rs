@@ -15,8 +15,8 @@
 //! keeps two accessors per (word, class) — enough to witness every
 //! pairwise hazard — plus lifetime contention tables folded at window
 //! close. It never reads the lane traces: the timing model's op arena
-//! ([`crate::trace::OpArena`]) holds one launch at a time and is
-//! cleared when the next launch starts.
+//! ([`crate::trace::OpArena`]) holds at most one launch's traces and
+//! drops them as their warps replay.
 //!
 //! The recorder is one of the two consumers of the access-event
 //! stream ([`crate::access`]), which owns the wave state and decides

@@ -580,61 +580,40 @@ impl Device {
         let dram_before = self.counters.dram_transactions;
         let inst_before = self.counters.inst_executed;
         let atomics_before = self.counters.inst_executed_global_atomics;
-        let num_sms = self.config.num_sms as usize;
-        let mut sm_cycles = vec![0u64; num_sms];
+        let mut sm_cycles = vec![0u64; self.config.num_sms as usize];
         let warps = lanes.div_ceil(WARP_SIZE as u64);
-        // Run every lane body first (ascending by default; permuted
-        // under schedule fuzzing — each lane keeps its tid/gang_rank,
-        // so only the interleaving of memory effects changes), then
-        // flush any gang-collective scatters, then replay the timing
-        // model over the original warp grouping. Functional execution
-        // touches only device memory, the replay only caches/counters,
-        // so the two decouple and the split is observationally
-        // identical to a warp-interleaved loop.
-        self.ops.begin(lanes as usize);
-        match self.sched.as_mut() {
-            Some(sched) => {
-                for lane_idx in sched.permutation(lanes) {
-                    self.run_lane(lane_idx, gang_size, body);
-                }
+        // Run every lane body (ascending by default; permuted under
+        // schedule fuzzing — each lane keeps its tid/gang_rank, so only
+        // the interleaving of memory effects changes), flush any
+        // gang-collective scatters, and replay the timing model warp by
+        // warp in the original grouping. Functional execution touches
+        // only device memory and the replay only caches and counters,
+        // so a warp may replay as soon as its bodies ran and nothing
+        // later must come first: in ascending order, until some lane
+        // asks for the flush (whose epilogue replays right after its
+        // warp's body), each finished warp replays at once and its ops
+        // are dropped, so the arena holds one warp, not the launch.
+        let mut replayed = 0u64;
+        if let Some(order) = self.sched.as_mut().map(|s| s.permutation(lanes)) {
+            self.ops.begin(lanes, true);
+            for lane_idx in order {
+                self.run_lane(lane_idx, gang_size, body);
             }
-            None => {
-                for lane_idx in 0..lanes {
-                    self.run_lane(lane_idx, gang_size, body);
+        } else {
+            self.ops.begin(lanes, false);
+            for lane_idx in 0..lanes {
+                self.run_lane(lane_idx, gang_size, body);
+                let warp_done = (lane_idx + 1) % WARP_SIZE as u64 == 0 || lane_idx + 1 == lanes;
+                if warp_done && self.pending_scatter.is_empty() {
+                    self.replay_warp_at(replayed, lanes, &mut sm_cycles);
+                    self.ops.retire();
+                    replayed += 1;
                 }
             }
         }
         self.flush_scatter(lanes);
-        let mut epilogues = self.ops.epilogues(lanes).peekable();
-        for w in 0..warps {
-            let base = (w * WARP_SIZE as u64) as usize;
-            let end = ((w + 1) * WARP_SIZE as u64).min(lanes) as usize;
-            let sm = (w % num_sms as u64) as usize;
-            let out = replay_warp(
-                &self.config,
-                &mut self.caches,
-                &mut self.counters,
-                sm,
-                self.ops.ops(),
-                self.ops.lane_spans(base..end),
-                true,
-            );
-            sm_cycles[sm] += out.cycles;
-            // The gang-collective epilogue replays as a continuation
-            // of the same warp (`register: false` — no second
-            // warp/thread count), converged per flush phase.
-            if let Some((_, spans)) = epilogues.next_if(|&(ew, _)| ew == w) {
-                let out = replay_warp(
-                    &self.config,
-                    &mut self.caches,
-                    &mut self.counters,
-                    sm,
-                    self.ops.ops(),
-                    spans,
-                    false,
-                );
-                sm_cycles[sm] += out.cycles;
-            }
+        for w in replayed..warps {
+            self.replay_warp_at(w, lanes, &mut sm_cycles);
         }
         if snapshot {
             self.arena.end_snapshot();
@@ -658,6 +637,34 @@ impl Device {
             stream: self.current_stream,
         });
     }
+    /// Replay warp `w` of a `lanes`-lane launch on its SM: its body
+    /// traces, then its flush epilogue if it has one.
+    fn replay_warp_at(&mut self, w: u64, lanes: u64, sm_cycles: &mut [u64]) {
+        let base = w * WARP_SIZE as u64;
+        let end = (base + WARP_SIZE as u64).min(lanes);
+        let sm = (w % self.config.num_sms as u64) as usize;
+        let ops = self.ops.ops();
+        let body = self.ops.lane_spans(base..end);
+        let out =
+            replay_warp(&self.config, &mut self.caches, &mut self.counters, sm, ops, body, true);
+        sm_cycles[sm] += out.cycles;
+        // The gang-collective epilogue replays as a continuation of the
+        // same warp (`register: false` — no second warp/thread count),
+        // converged per flush phase.
+        if let Some(epilogue) = self.ops.epilogue(w, (end - base) as usize) {
+            let out = replay_warp(
+                &self.config,
+                &mut self.caches,
+                &mut self.counters,
+                sm,
+                ops,
+                epilogue,
+                false,
+            );
+            sm_cycles[sm] += out.cycles;
+        }
+    }
+
     /// Run lane `lane_idx`'s body, recording its ops as its span of the
     /// launch's op arena.
     #[inline]
@@ -677,7 +684,7 @@ impl Device {
             gang_size,
         };
         body(&mut lane);
-        self.ops.close_lane(lane_idx as usize, start);
+        self.ops.close_lane(lane_idx, start);
     }
 
     /// Raise a device fault (a panic the recovery ladder catches) for a
@@ -1610,6 +1617,53 @@ mod tests {
         for seed in 1..=4 {
             assert_eq!(run(Some(seed)), (base.clone(), ms), "seed {seed}");
         }
+    }
+
+    #[test]
+    fn eager_warp_replay_matches_whole_launch_replay() {
+        // Only the upper half of the lanes request gang-collective
+        // flushes. In ascending order warps 0 and 1 replay as soon as
+        // they finish and warps 2 and 3 wait for the flush; a permuted
+        // schedule holds the whole launch. The kernel is schedule
+        // insensitive, so every run must cost the same.
+        let run = |seed: Option<u64>| {
+            let mut d = tiny();
+            if let Some(seed) = seed {
+                d.arm_schedule_fuzz(seed);
+            }
+            let a = d.alloc_upload("a", &(0..128).collect::<Vec<u32>>());
+            let acc = d.alloc_upload("acc", &[0, u32::MAX]);
+            d.launch("half-flush", 128, move |lane| {
+                let i = lane.tid() as u32;
+                let v = lane.ld(a, (i * 5) % 128);
+                lane.alu(1 + i % 3);
+                if i >= 64 {
+                    lane.gang_add(acc, 0, 1);
+                    lane.gang_min(acc, 1, v);
+                }
+                lane.st(a, i, v + 1);
+            });
+            (d.counters().clone(), d.elapsed_ms(), d.read(a).to_vec(), d.read(acc).to_vec())
+        };
+        let base = run(None);
+        assert_eq!(base.3, vec![64, 1]);
+        for seed in 1..=4 {
+            assert_eq!(run(Some(seed)), base, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn ascending_launch_without_flush_holds_one_warp() {
+        let mut d = tiny();
+        let a = d.alloc("a", 4096);
+        d.launch("wide", 4096, move |lane| {
+            let i = lane.tid() as u32;
+            lane.alu(1);
+            let v = lane.ld(a, i);
+            lane.st(a, i, v + 1);
+        });
+        assert_eq!(d.counters().warps, 128);
+        assert!(d.ops.capacity() <= 4 * WARP_SIZE as usize, "{}", d.ops.capacity());
     }
 
     #[test]

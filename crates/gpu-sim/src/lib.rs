@@ -11,9 +11,10 @@
 //! Threads execute *functionally* lane by lane — every global load,
 //! store and atomic takes effect immediately on device memory — while
 //! each lane records an operation trace into the device's op arena
-//! (8 bytes per op, one span per lane, cleared per launch). After all
-//! of a launch's lanes finish, each warp's traces are **replayed in
-//! lockstep**:
+//! (8 bytes per op, one span per lane; see [`trace`]). Once a warp's
+//! lanes have run (and, when the launch asked for a gang-collective
+//! flush or runs a permuted schedule, once every lane has), its traces
+//! are **replayed in lockstep**:
 //!
 //! * lanes are aligned by operation index, and at every step the active
 //!   lanes are grouped by operation kind — divergent groups serialize,

@@ -412,13 +412,13 @@ mod tests {
 
     fn warp_of(ops_per_lane: Vec<Vec<Op>>) -> Warp {
         let mut arena = OpArena::default();
-        arena.begin(ops_per_lane.len());
+        arena.begin(ops_per_lane.len() as u64, false);
         for (lane, ops) in ops_per_lane.iter().enumerate() {
             let start = arena.cursor();
             for &op in ops {
                 arena.push(start, op);
             }
-            arena.close_lane(lane, start);
+            arena.close_lane(lane as u64, start);
         }
         Warp { arena, lanes: ops_per_lane.len() }
     }
@@ -431,7 +431,7 @@ mod tests {
             ctr: &mut Counters,
             register: bool,
         ) -> WarpOutcome {
-            let spans = self.arena.lane_spans(0..self.lanes);
+            let spans = self.arena.lane_spans(0..self.lanes as u64);
             replay_warp(cfg, caches, ctr, 0, self.arena.ops(), spans, register)
         }
     }
@@ -641,7 +641,7 @@ mod tests {
             for (w, (lanes, register)) in warps.iter().enumerate() {
                 let sm = w % cfg.num_sms as usize;
                 let warp = warp_of(lanes.clone());
-                let spans = warp.arena.lane_spans(0..warp.lanes);
+                let spans = warp.arena.lane_spans(0..warp.lanes as u64);
                 let out = replay_warp(&cfg, &mut caches, &mut ctr, sm, warp.arena.ops(), spans, *register);
                 let traces: Vec<Vec<Op>> = lanes.iter().map(|ops| collapsed(ops)).collect();
                 let expect = reference::replay_warp(&cfg, &mut ref_caches, &mut ref_ctr, sm, &traces, *register);
@@ -657,7 +657,7 @@ mod tests {
                 let sm = w % cfg.num_sms as usize;
                 let lanes: Vec<Vec<Op>> = chunk.iter().map(|&a| vec![Op::Load(a)]).collect();
                 let probe = warp_of(lanes.clone());
-                let spans = probe.arena.lane_spans(0..probe.lanes);
+                let spans = probe.arena.lane_spans(0..probe.lanes as u64);
                 let out = replay_warp(&cfg, &mut caches, &mut ctr, sm, probe.arena.ops(), spans, true);
                 let expect = reference::replay_warp(&cfg, &mut ref_caches, &mut ref_ctr, sm, &lanes, true);
                 prop_assert_eq!(out.cycles, expect.cycles);

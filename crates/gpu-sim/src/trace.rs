@@ -2,14 +2,18 @@
 //!
 //! While a thread's body runs, every simulated instruction appends an
 //! [`Op`] to the device's [`OpArena`]: one flat vector of 8-byte
-//! [`PackedOp`]s in which each lane owns a contiguous [`Span`]. A
-//! launch runs every lane body before it replays any warp (the
-//! gang-collective flush needs all of them first), so the whole
-//! launch's traces live until the launch ends. The arena is cleared
+//! [`PackedOp`]s in which each lane owns a contiguous [`Span`]. Traces
+//! live until their warp is replayed, which is not warp-local in
+//! general: the gang-collective flush runs after every lane body of
+//! the launch, and under schedule fuzzing a warp's lanes finish in any
+//! order, so in those cases the arena holds the whole launch. In
+//! ascending order with no flush requested so far, each warp replays
+//! as soon as its last lane finishes and the arena drops its ops
+//! ([`OpArena::retire`]), so it holds one warp. The arena is cleared
 //! per launch and keeps its capacity: a steady stream of launches
-//! allocates nothing, and a launch costs 8 bytes per recorded op plus
-//! 8 per lane. The flush appends each warp's epilogue to the same
-//! arena.
+//! allocates nothing, and a held lane costs 8 bytes per recorded op
+//! plus 8 for its span. The flush appends each warp's epilogue to the
+//! same arena.
 
 /// One recorded lane operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -166,24 +170,32 @@ impl Span {
     }
 }
 
-/// Every lane trace of one launch (see the module docs).
+/// The lane traces of one launch not yet replayed (see the module
+/// docs).
 #[derive(Debug, Default)]
 pub struct OpArena {
     ops: Vec<PackedOp>,
-    /// Lane `i`'s body span at index `i`; flush epilogue spans follow.
+    /// Body spans of lanes `first_lane..`, lane `first_lane + i` at
+    /// index `i`; flush epilogue spans follow them.
     spans: Vec<Span>,
+    /// The lowest lane whose trace is still held.
+    first_lane: u64,
     /// `(warp, first span)` of each warp's epilogue, ascending by warp.
     epilogues: Vec<(u64, usize)>,
 }
 
 impl OpArena {
-    /// Start a launch of `lanes` lanes: drop the previous launch's ops
-    /// (keeping the capacity) and give every lane an empty span.
-    pub fn begin(&mut self, lanes: usize) {
+    /// Start a launch of `lanes` lanes, dropping the previous launch's
+    /// traces (the capacity stays). Lanes run in ascending order unless
+    /// `permuted`, in which case every lane's span slot exists up front.
+    pub fn begin(&mut self, lanes: u64, permuted: bool) {
         self.ops.clear();
         self.spans.clear();
-        self.spans.resize(lanes, Span::default());
+        self.first_lane = 0;
         self.epilogues.clear();
+        if permuted {
+            self.spans.resize(lanes as usize, Span::default());
+        }
     }
 
     /// Where the next op lands: the start of a lane's span.
@@ -217,8 +229,24 @@ impl OpArena {
 
     /// Close lane `lane`'s body span, begun at `start`.
     #[inline]
-    pub fn close_lane(&mut self, lane: usize, start: u32) {
-        self.spans[lane] = Span { start, end: self.cursor() };
+    pub fn close_lane(&mut self, lane: u64, start: u32) {
+        let span = Span { start, end: self.cursor() };
+        let i = (lane - self.first_lane) as usize;
+        match self.spans.get_mut(i) {
+            Some(slot) => *slot = span,
+            None => {
+                debug_assert_eq!(i, self.spans.len(), "ascending lanes close in order");
+                self.spans.push(span);
+            }
+        }
+    }
+
+    /// Drop every trace held, once its lanes are replayed: the next
+    /// lane to close is the first one held.
+    pub fn retire(&mut self) {
+        self.first_lane += self.spans.len() as u64;
+        self.ops.clear();
+        self.spans.clear();
     }
 
     /// Open warp `warp`'s flush epilogue; its lanes' spans follow with
@@ -232,25 +260,31 @@ impl OpArena {
         self.spans.push(Span { start, end: self.cursor() });
     }
 
+    /// Ops the arena can hold without growing.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.ops.capacity()
+    }
+
     /// The recorded ops.
     #[inline]
     pub fn ops(&self) -> &[PackedOp] {
         &self.ops
     }
 
-    /// Body spans of lanes `lanes`.
+    /// Body spans of lanes `lanes`, all still held.
     #[inline]
-    pub fn lane_spans(&self, lanes: std::ops::Range<usize>) -> &[Span] {
-        &self.spans[lanes]
+    pub fn lane_spans(&self, lanes: std::ops::Range<u64>) -> &[Span] {
+        let start = (lanes.start - self.first_lane) as usize;
+        &self.spans[start..start + (lanes.end - lanes.start) as usize]
     }
 
-    /// The epilogue spans of each warp that has one, ascending by warp.
-    pub fn epilogues(&self, lanes: u64) -> impl Iterator<Item = (u64, &[Span])> {
-        self.epilogues.iter().map(move |&(warp, first)| {
-            let warp_size = u64::from(crate::WARP_SIZE);
-            let width = (lanes - warp * warp_size).min(warp_size) as usize;
-            (warp, &self.spans[first..first + width])
-        })
+    /// The epilogue spans of warp `warp`, `width` lanes wide, if the
+    /// flush gave it one.
+    pub fn epilogue(&self, warp: u64, width: usize) -> Option<&[Span]> {
+        let i = self.epilogues.binary_search_by_key(&warp, |&(w, _)| w).ok()?;
+        let first = self.epilogues[i].1;
+        Some(&self.spans[first..first + width])
     }
 }
 
@@ -265,7 +299,7 @@ mod tests {
     #[test]
     fn alu_ops_collapse() {
         let mut a = OpArena::default();
-        a.begin(1);
+        a.begin(1, false);
         let s = a.cursor();
         a.push(s, Op::Alu(2));
         a.push(s, Op::Alu(3));
@@ -274,6 +308,12 @@ mod tests {
         a.close_lane(0, s);
         let span = a.lane_spans(0..1)[0];
         assert_eq!(lane_ops(&a, span), vec![Op::Alu(5), Op::Load(64), Op::Alu(1)]);
+        // Retired lanes' ops are gone; the next lane's span is held.
+        a.retire();
+        let s = a.cursor();
+        a.push(s, Op::Alu(4));
+        a.close_lane(1, s);
+        assert_eq!(lane_ops(&a, a.lane_spans(1..2)[0]), vec![Op::Alu(4)]);
     }
 
     #[test]
@@ -313,7 +353,7 @@ mod tests {
             assert_eq!(PackedOp::pack(op), None, "{op:?}");
         }
         let mut a = OpArena::default();
-        a.begin(1);
+        a.begin(1, false);
         let err = std::panic::catch_unwind(move || a.push(0, Op::Atomic(MAX_ADDR + 1)))
             .expect_err("an unpackable address must fault");
         let msg = err.downcast_ref::<String>().map_or("", String::as_str);
@@ -325,9 +365,9 @@ mod tests {
         // Lane k ends on an ALU op and lane k+1 starts with one: in a
         // shared arena they sit side by side, and a merge would move
         // lane k+1's instructions onto lane k, in any lane order.
-        for order in [[0usize, 1, 2], [2, 0, 1], [1, 2, 0]] {
+        for order in [[0u64, 1, 2], [2, 0, 1], [1, 2, 0]] {
             let mut a = OpArena::default();
-            a.begin(3);
+            a.begin(3, order != [0, 1, 2]);
             for lane in order {
                 let s = a.cursor();
                 a.push(s, Op::Alu(lane as u32 + 1));
