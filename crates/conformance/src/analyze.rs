@@ -481,7 +481,8 @@ pub fn baseline_json(report: &AnalyzeReport) -> String {
     out
 }
 
-/// Parse a baseline file written by [`baseline_json`]. Line-oriented
+/// Parse a baseline file written by [`baseline_json`] (or a
+/// fingerprint file, [`crate::fingerprints::to_json`]). Line-oriented
 /// on purpose: the file is machine-written, so `"key": "value"` pairs
 /// one per line are a stable contract.
 pub fn parse_baseline(text: &str) -> BTreeMap<String, String> {

@@ -637,6 +637,7 @@ impl Device {
             stream: self.current_stream,
         });
     }
+
     /// Replay warp `w` of a `lanes`-lane launch on its SM: its body
     /// traces, then its flush epilogue if it has one.
     fn replay_warp_at(&mut self, w: u64, lanes: u64, sm_cycles: &mut [u64]) {

@@ -81,7 +81,8 @@ pub enum OpKind {
     Conv,
 }
 
-/// Bits below the kind tag: the payload (address or ALU count).
+/// The kind tag sits in the bits from here up; the payload (address or
+/// ALU count) below.
 const TAG_SHIFT: u32 = 61;
 const PAYLOAD_MASK: u64 = (1 << TAG_SHIFT) - 1;
 

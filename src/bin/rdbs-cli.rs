@@ -1551,11 +1551,10 @@ fn fingerprints_usage() -> ! {
 Recompute the model fingerprints (one hash per entry x frontier and
 Fig. 8 variant over fixed small graphs: distances, counters, kernel
 reports, simulated latencies) and diff them against the committed
-file. Exits non-zero on any drift.
+{path}. Exits non-zero on any drift.
 
-  --write             rewrite the file instead of diffing
-  --file PATH         fingerprint file (default {default})",
-        default = rdbs::conformance::fingerprints::PATH
+  --write             rewrite the file instead of diffing",
+        path = rdbs::conformance::fingerprints::PATH
     );
     exit(2)
 }
@@ -1563,25 +1562,23 @@ file. Exits non-zero on any drift.
 fn fingerprints_main(args: Vec<String>) -> ! {
     use rdbs::conformance::fingerprints;
     let mut write = false;
-    let mut path = fingerprints::PATH.to_string();
-    let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
+    for flag in args {
         match flag.as_str() {
             "--write" => write = true,
-            "--file" => path = it.next().unwrap_or_else(|| fingerprints_usage()),
             _ => fingerprints_usage(),
         }
     }
+    let path = fingerprints::PATH;
     let actual = fingerprints::compute();
     if write {
-        std::fs::write(&path, fingerprints::to_json(&actual)).unwrap_or_else(|e| {
+        std::fs::write(path, fingerprints::to_json(&actual)).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             exit(1);
         });
         println!("fingerprints: {} written to {path}", actual.len());
         exit(0);
     }
-    let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+    let committed = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         exit(1);
     });
